@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use espresso::expand::expand;
 use espresso::factor::output_expr;
 use espresso::{
     complement, containment, cube_in_cover, legacy, minimize, tautology, with_ambient_jobs, Cover,
@@ -56,6 +57,16 @@ fn bench_mv_minimize(h: &mut Harness) {
     for name in ["lion", "bbtas", "dk27", "shiftreg", "train11"] {
         let b = fsm::benchmarks::by_name(name).expect("embedded");
         let sc = symbolic_cover(&b.fsm);
+        g.bench(&format!("expand/{name}"), || {
+            let mut f = sc.on.clone();
+            expand(&mut f, &sc.dc);
+            f
+        });
+        g.bench(&format!("expand_legacy/{name}"), || {
+            let mut f = sc.on.clone();
+            legacy::expand(&mut f, &sc.dc);
+            f
+        });
         g.bench(&format!("minimize/{name}"), || minimize(&sc.on, &sc.dc));
         g.bench(&format!("minimize_legacy/{name}"), || {
             legacy::minimize(&sc.on, &sc.dc)
@@ -179,6 +190,8 @@ fn report_allocations() {
             std::hint::black_box(tautology(&sc.on));
             std::hint::black_box(complement(&sc.on));
             std::hint::black_box(minimize(&sc.on, &sc.dc));
+            let mut f = sc.on.clone();
+            expand(&mut f, &sc.dc);
         }
         let rows = [
             (
@@ -192,12 +205,34 @@ fn report_allocations() {
                 allocs_of(|| legacy::complement(&sc.on)),
             ),
             (
+                "expand",
+                allocs_of(|| {
+                    let mut f = sc.on.clone();
+                    expand(&mut f, &sc.dc);
+                    f
+                }),
+                allocs_of(|| {
+                    let mut f = sc.on.clone();
+                    legacy::expand(&mut f, &sc.dc);
+                    f
+                }),
+            ),
+            (
                 "minimize",
                 allocs_of(|| minimize(&sc.on, &sc.dc)),
                 allocs_of(|| legacy::minimize(&sc.on, &sc.dc)),
             ),
         ];
         for (kernel, arena, leg) in rows {
+            // The OFF-set EXPAND allocates per cube, never per candidate
+            // raise; legacy builds a cofactor cover per candidate.
+            if kernel == "expand" {
+                assert!(
+                    arena < leg,
+                    "steady-state expand/{name} allocates {arena} times per call, \
+                     legacy {leg}"
+                );
+            }
             let ratio = leg as f64 / (arena.max(1)) as f64;
             println!(
                 "  {:<24} arena {:>8}  legacy {:>8}  ({:.1}x fewer)",

@@ -89,8 +89,8 @@
 //!                      into DIR (req-<request id>.jsonl)
 //!
 //!   trace-report   analyze a nova-trace/1 JSONL trace offline: span tree
-//!                  with total/self wall time, per-stage aggregation, and
-//!                  histogram quantiles
+//!                  with total/self wall time, per-stage aggregation,
+//!                  counter totals, and histogram quantiles
 //!   --diff FILE2   compare per-stage totals against FILE2 — either a
 //!                  second nova-trace/1 trace or a committed nova-bench/1
 //!                  report (BENCH_*.json); exits 1 when any stage slowed

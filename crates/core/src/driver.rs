@@ -169,7 +169,8 @@ pub struct StageTimes {
     pub embed: Duration,
     /// Encoding the machine's cover with the chosen codes.
     pub encode: Duration,
-    /// ESPRESSO minimization of the encoded cover.
+    /// ESPRESSO minimization of the encoded cover, plus the factored
+    /// literal count of the result.
     pub espresso: Duration,
 }
 
@@ -541,7 +542,7 @@ fn run_traced_inner(
         |s| &mut s.encode,
         || encode(fsm, &enc),
     );
-    let (min, _) = stage(
+    let (min, literals) = stage(
         ctl,
         cell,
         "stage.espresso",
@@ -551,14 +552,16 @@ fn run_traced_inner(
                 jobs: espresso_jobs,
                 ..MinimizeOptions::default()
             };
-            minimize_with_ctl(&pla.on, &pla.dc, opts, ctl)
+            let (min, _) = minimize_with_ctl(&pla.on, &pla.dc, opts, ctl)?;
+            let literals = cover_factored_literals(&min);
+            Ok::<_, Cancelled>((min, literals))
         },
     )?;
     Ok(Some(EvalResult {
         bits: enc.bits(),
         cubes: min.len(),
         area: pla.area_for(min.len()),
-        literals: cover_factored_literals(&min),
+        literals,
         encoding: enc,
     }))
 }

@@ -372,16 +372,21 @@ pub fn eval_to_json(r: &EvalResult) -> Json {
 /// Runs `items` jobs over at most `jobs` scoped worker threads. Workers
 /// claim job indices from a shared atomic counter; a panicking job yields
 /// `Err(message)` in its slot without taking down its worker (the worker
-/// moves on to the next index).
+/// moves on to the next index). A single worker is the calling thread
+/// itself, so its thread-local scratch pools stay warm from call to call.
 fn run_jobs<T, F>(items: usize, jobs: usize, f: F) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let run = |i| catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
+    let workers = jobs.clamp(1, items.max(1));
+    if workers == 1 {
+        return (0..items).map(run).collect();
+    }
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..items).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = jobs.clamp(1, items.max(1));
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
@@ -389,7 +394,7 @@ where
                 if i >= items {
                     break;
                 }
-                let out = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
+                let out = run(i);
                 // A slot mutex can only be poisoned by a panic *between*
                 // catch_unwind and the store (e.g. a panicking Drop in the
                 // payload); recover the guard rather than cascade.
@@ -915,6 +920,32 @@ mod tests {
         assert!(j.contains("\"counters\""));
         let pretty = report.to_json().to_pretty();
         assert!(pretty.contains("\n  \"machine\": \"lion\""));
+    }
+
+    #[test]
+    fn single_worker_portfolio_reuses_the_callers_scratch_pool() {
+        // jobs = 1 runs on the calling thread, so a second portfolio finds
+        // the ESPRESSO pool the first one warmed.
+        let cfg = EngineConfig {
+            jobs: 1,
+            embed_jobs: 1,
+            espresso_jobs: 1,
+            tracer: Tracer::enabled(),
+            ..EngineConfig::default()
+        };
+        let m = machine("bbtas");
+        let counter = |report: &PortfolioReport, name: &str| -> u64 {
+            let counters = report.runs.iter().flat_map(|r| &r.metrics.counters);
+            counters.filter(|(n, _)| n == name).map(|(_, v)| v).sum()
+        };
+        run_portfolio(&m, "bbtas", &cfg);
+        let second = run_portfolio(&m, "bbtas", &cfg);
+        assert!(counter(&second, "espresso.scratch.acquires") > 0);
+        assert_eq!(
+            counter(&second, "espresso.scratch.fresh_allocs"),
+            0,
+            "the warm pool is reused"
+        );
     }
 
     #[test]

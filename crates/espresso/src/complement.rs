@@ -71,6 +71,23 @@ pub fn complement(f: &Cover) -> Cover {
     out
 }
 
+/// The OFF-set `R = complement(F ∪ D)` as an absorbed matrix from `s`
+/// (return it with [`Scratch::release`]). A cube lies inside `F ∪ D` iff it
+/// [meets no row](CubeMatrix::meets_no_row) of `R`, which is how EXPAND and
+/// LAST_GASP test raises against the ON ∪ DC set of a whole minimization.
+pub fn off_set(f: &Cover, d: &Cover, s: &mut Scratch) -> CubeMatrix {
+    let space = f.space();
+    let mut m = s.acquire(space);
+    m.extend_cubes(space, f.iter().chain(d.iter()));
+    let mut out = s.acquire(space);
+    comp_mat(space, &mut m, &mut out, s);
+    s.release(m);
+    let mut keep = s.acquire_flags();
+    absorb_matrix(&mut out, &mut keep);
+    s.release_flags(keep);
+    out
+}
+
 /// Appends the complement of the cover held in `m` to `out`. `m` is consumed
 /// as work space; `out` rows below the entry length are left untouched, so
 /// recursion levels can share one output arena.

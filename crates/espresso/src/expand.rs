@@ -1,33 +1,45 @@
 //! EXPAND: grow each cube of a cover into a prime implicant.
 //!
-//! A part may be raised in a cube exactly when the raised cube is still
-//! contained in `ON ∪ DC`. Because the current cover `F` together with the
-//! don't-care cover `D` denotes exactly `ON ∪ DC` throughout the ESPRESSO
-//! iteration, the validity oracle is the exact containment test
-//! [`cube_in_cover`]`(F ∪ D, raised)`.
+//! A part may be raised in a cube exactly when the raised cube stays inside
+//! `ON ∪ DC`. The current cover `F` together with the don't-care cover `D`
+//! denotes exactly that set throughout the ESPRESSO iteration: EXPAND only
+//! raises into it, IRREDUNDANT only drops cubes the rest still covers, and
+//! REDUCE only lowers minterms that other cubes or `D` still cover. So, as in
+//! ESPRESSO-II, the set is complemented once per minimization into the
+//! OFF-set `R = complement(F ∪ D)` ([`off_set`]), and a raise is legal iff
+//! the raised cube [meets no row](crate::matrix::CubeMatrix::meets_no_row) of
+//! `R` — a word-parallel intersection scan per row, with no cofactor, no
+//! tautology check and no allocation per candidate.
 //!
 //! Raising is monotone (a raise rejected once can never become valid as the
 //! cube grows), so a single pass over the candidate parts per cube yields a
 //! prime.
-//!
-//! The oracle lives in a scratch [`CubeMatrix`](crate::matrix::CubeMatrix)
-//! rebuilt in place per cube (no per-candidate `Cover` clones), and each
-//! candidate raise is tested through the signature-pruned, arena-backed
-//! [`cube_in_matrix`] oracle.
 
+use crate::complement::off_set;
 use crate::cover::Cover;
 use crate::cube::Cube;
-use crate::matrix::Sig;
+use crate::matrix::CubeMatrix;
 use crate::scratch::with_scratch;
-use crate::tautology::{cube_in_cover, cube_in_matrix};
+use crate::tautology::cube_in_cover;
 
 /// Expands every cube of `f` against the don't-care cover `d` into a prime,
-/// removing cubes that become covered by an expanded one.
+/// removing cubes that become covered by an expanded one. Computes the
+/// OFF-set of `f ∪ d` and runs [`expand_against`]; the minimization loop
+/// computes it once and calls [`expand_against`] directly.
+pub fn expand(f: &mut Cover, d: &Cover) {
+    let r = with_scratch(|s| off_set(f, d, s));
+    expand_against(f, &r);
+    with_scratch(|s| s.release(r));
+}
+
+/// Expands every cube of `f` into a prime of the complement of the OFF-set
+/// `r`, removing cubes that become covered by an expanded one. `r` must be
+/// the OFF-set of `f ∪ D` ([`off_set`]).
 ///
 /// Cubes are processed smallest-first (they benefit most), and parts are
 /// tried in descending column count over `f` (raising toward other cubes
 /// maximizes the chance of covering them).
-pub fn expand(f: &mut Cover, d: &Cover) {
+pub fn expand_against(f: &mut Cover, r: &CubeMatrix) {
     let space = f.space().clone();
     f.absorb();
     let n = f.len();
@@ -54,64 +66,41 @@ pub fn expand(f: &mut Cover, d: &Cover) {
     order.sort_by_key(|&i| f.cubes()[i].count_ones());
 
     let mut covered = vec![false; n];
-    with_scratch(|s| {
-        let mut t_words: Vec<u64> = Vec::with_capacity(space.words());
-        for &i in &order {
-            if covered[i] {
-                continue;
-            }
-            let mut c = f.cubes()[i].clone();
+    let mut cands: Vec<(usize, u32)> = Vec::new();
+    for &i in &order {
+        if covered[i] {
+            continue;
+        }
+        let mut c = f.cubes()[i].clone();
 
-            // Oracle: the non-covered cubes of f (including i, in its current
-            // committed form — the denotation is exactly ON ∪ DC) plus D. A
-            // candidate t strictly contains the original cube i, so keeping
-            // row i in the oracle cannot spuriously accept a raise on the
-            // single-cube fast path.
-            let mut oracle = s.acquire(&space);
-            for (j, other) in f.iter().enumerate() {
-                if !covered[j] {
-                    oracle.push_cube(&space, other);
-                }
-            }
-            oracle.extend_cubes(&space, d.iter());
-
-            // Candidate parts: currently absent from c, in descending column
-            // count.
-            let mut cands: Vec<(usize, u32)> = Vec::new();
-            for v in space.vars() {
-                for p in 0..space.parts(v) {
-                    if !c.has_part(&space, v, p) {
-                        cands.push((v, p));
-                    }
-                }
-            }
-            cands.sort_by_key(|&(v, p)| std::cmp::Reverse(col[space.bit(v, p) as usize]));
-
-            // The cube's signature is carried across raises and each
-            // candidate's derived incrementally — no per-candidate Sig::of.
-            let mut sig_c = Sig::of(&space, c.words());
-            for (v, p) in cands {
-                t_words.clear();
-                t_words.extend_from_slice(c.words());
-                let b = space.bit(v, p) as usize;
-                t_words[b / 64] |= 1u64 << (b % 64);
-                let sig = sig_c.with_part_raised(&space, &t_words, v, b);
-                if cube_in_matrix(&space, &oracle, &t_words, sig, s) {
-                    c.set_part(&space, v, p);
-                    sig_c = sig;
-                }
-            }
-            s.release(oracle);
-
-            // Commit and mark covered cubes.
-            f.cubes_mut()[i] = c.clone();
-            for (j, cov) in covered.iter_mut().enumerate() {
-                if j != i && !*cov && f.cubes()[j].is_subset_of(&c) {
-                    *cov = true;
+        // Candidate parts: currently absent from c, in descending column
+        // count.
+        cands.clear();
+        for v in space.vars() {
+            for p in 0..space.parts(v) {
+                if !c.has_part(&space, v, p) {
+                    cands.push((v, p));
                 }
             }
         }
-    });
+        cands.sort_by_key(|&(v, p)| std::cmp::Reverse(col[space.bit(v, p) as usize]));
+
+        // Raise in place; undo when the raised cube meets the OFF-set.
+        for &(v, p) in &cands {
+            c.set_part(&space, v, p);
+            if !r.meets_no_row(&space, c.words()) {
+                c.clear_part(&space, v, p);
+            }
+        }
+
+        // Commit and mark covered cubes.
+        for (j, cov) in covered.iter_mut().enumerate() {
+            if j != i && !*cov && f.cubes()[j].is_subset_of(&c) {
+                *cov = true;
+            }
+        }
+        f.cubes_mut()[i] = c;
+    }
 
     let mut idx = 0;
     f.cubes_mut().retain(|_| {

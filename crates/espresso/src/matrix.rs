@@ -5,9 +5,10 @@
 //! *stride* per row plus a parallel vector of per-row [`Sig`]natures. Rows
 //! are appended, overwritten and compacted in place, so the unate-recursive
 //! kernels ([`tautology`](crate::tautology), [`complement`](crate::complement),
-//! the EXPAND/REDUCE/IRREDUNDANT oracles) never allocate one `Box<[u64]>` per
-//! cube — matrices come from a [`Scratch`](crate::scratch::Scratch) pool and
-//! their buffers are reused across calls.
+//! the REDUCE/IRREDUNDANT oracles, the EXPAND OFF-set) never allocate one
+//! `Box<[u64]>` per cube — matrices come from a
+//! [`Scratch`](crate::scratch::Scratch) pool and their buffers are reused
+//! across calls.
 //!
 //! The [`Sig`] signature makes pairwise containment cheap: most non-contained
 //! pairs are rejected on three integer compares before any cube word is read.
@@ -109,38 +110,6 @@ impl Sig {
     #[inline]
     pub fn may_be_subset_of(self, b: Sig) -> bool {
         self.ones <= b.ones && self.orbits & !b.orbits == 0 && b.nonfull & !self.nonfull == 0
-    }
-
-    /// Signature of `words`, given that `words` is this signature's row with
-    /// one previously absent bit (global index `bit`) of variable `v` raised
-    /// — the EXPAND candidate step. Derived in `O(span)` instead of a full
-    /// [`Sig::of`] recomputation; falls back to it outside the exact window.
-    pub fn with_part_raised(self, space: &CubeSpace, words: &[u64], v: usize, bit: usize) -> Sig {
-        if self.empty || v >= SIG_EXACT_VARS {
-            return Sig::of(space, words);
-        }
-        let full = match space.single_word_field(v) {
-            Some((k, m)) => words[k] & m == m,
-            None => {
-                let (lo, hi) = space.var_span(v);
-                let mask = space.mask(v);
-                (lo..=hi).all(|k| words[k] & mask[k] == mask[k])
-            }
-        };
-        let sig = Sig {
-            ones: self.ones + 1,
-            empty: false,
-            orbits: self.orbits | (1u64 << (bit % 64)),
-            // The raised bit was absent, so `v` was non-full before; it
-            // stays marked unless the raise completed the field.
-            nonfull: if full {
-                self.nonfull & !(1u128 << v)
-            } else {
-                self.nonfull
-            },
-        };
-        debug_assert_eq!(sig, Sig::of(space, words));
-        sig
     }
 
     /// Whether the row is full in variable `v`, answered from the signature
@@ -290,6 +259,20 @@ impl CubeMatrix {
     pub fn any_row_full(&self, space: &CubeSpace) -> bool {
         let total = space.total_bits();
         self.sigs.iter().any(|s| s.ones == total)
+    }
+
+    /// Whether the row `c` meets no row of the matrix (every pairwise
+    /// intersection is empty). With the matrix holding an OFF-set, this is
+    /// "`c` lies inside the ON ∪ DC set the OFF-set complements" — the
+    /// EXPAND / LAST_GASP raise test, one word-parallel scan per row with no
+    /// cofactor and no allocation.
+    pub fn meets_no_row(&self, space: &CubeSpace, c: &[u64]) -> bool {
+        debug_assert_eq!(c.len(), space.words());
+        self.is_empty()
+            || self
+                .words
+                .chunks_exact(self.stride)
+                .all(|r| !space.rows_intersect(r, c))
     }
 
     /// Appends a row, computing its signature.

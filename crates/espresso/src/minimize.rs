@@ -1,12 +1,15 @@
 //! The ESPRESSO minimization loop.
 
+use crate::complement::off_set;
 use crate::cover::{Cover, CoverCost};
 use crate::ctl::{Cancelled, RunCtl};
 use crate::cube::Cube;
-use crate::expand::expand;
+use crate::expand::expand_against;
 use crate::irredundant::{irredundant, relatively_essential};
+use crate::matrix::CubeMatrix;
 use crate::reduce::{reduce, reduce_cube_against};
-use crate::tautology::{cube_in_cover, verify_minimized};
+use crate::scratch::with_scratch;
+use crate::tautology::verify_minimized;
 
 /// Tuning knobs for [`minimize_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +158,49 @@ fn minimize_impl(
     }
 
     ctl.charge(1 + cur.len() as u64)?;
-    tracer.scope("espresso.expand", || expand(&mut cur, d));
+    // `cur ∪ d` denotes ON ∪ DC for the whole call (see `expand`), so its
+    // complement — the OFF-set every EXPAND / LAST_GASP raise is tested
+    // against — is computed once here.
+    let r = tracer.scope("espresso.offset", || with_scratch(|s| off_set(&cur, d, s)));
+    tracer.incr("espresso.offset.cubes", r.len() as u64);
+    let improved = improve(cur, d, &r, opts, ctl, &tracer);
+    with_scratch(|s| s.release(r));
+    let (best, iterations) = improved?;
+
+    if opts.verify {
+        // verify_minimized is containment checking, i.e. the tautology
+        // kernel — worth its own span when enabled.
+        let ok = tracer.scope("espresso.tautology", || verify_minimized(&best, f, d));
+        assert!(
+            ok,
+            "espresso contract violated: F ⊆ M ⊆ F ∪ D does not hold"
+        );
+    }
+    let final_cubes = best.len();
+    ctl.count_cubes(initial_cubes as u64, final_cubes as u64);
+    flush_scratch(&tracer);
+    Ok((
+        best,
+        MinimizeStats {
+            initial_cubes,
+            final_cubes,
+            iterations,
+        },
+    ))
+}
+
+/// The EXPAND / IRREDUNDANT / ESSENTIAL_PRIMES pass and the improvement loop
+/// of [`minimize_impl`], with every raise tested against the OFF-set `r` of
+/// `cur ∪ d`. Returns the best cover seen and the iteration count.
+fn improve(
+    mut cur: Cover,
+    d: &Cover,
+    r: &CubeMatrix,
+    opts: MinimizeOptions,
+    ctl: &RunCtl,
+    tracer: &nova_trace::Tracer,
+) -> Result<(Cover, usize), Cancelled> {
+    tracer.scope("espresso.expand", || expand_against(&mut cur, r));
     tracer.scope("espresso.irredundant", || irredundant(&mut cur, d));
 
     // Essential primes never leave any prime cover: peel them off into the
@@ -199,7 +244,7 @@ fn minimize_impl(
                 let _iter_span = tracer.span("espresso.iteration");
                 tracer.observe("espresso.cubes_per_iteration", cur.len() as u64);
                 tracer.scope("espresso.reduce", || reduce(&mut cur, &d_aug));
-                tracer.scope("espresso.expand", || expand(&mut cur, &d_aug));
+                tracer.scope("espresso.expand", || expand_against(&mut cur, r));
                 tracer.scope("espresso.irredundant", || irredundant(&mut cur, &d_aug));
                 let full = with_essentials(&cur);
                 let cost = full.cost();
@@ -215,7 +260,7 @@ fn minimize_impl(
                 break;
             }
             ctl.charge(1 + cur.len() as u64)?;
-            let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug));
+            let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug, r));
             if !gasped {
                 break;
             }
@@ -229,33 +274,14 @@ fn minimize_impl(
             }
         }
     }
-
-    if opts.verify {
-        // verify_minimized is containment checking, i.e. the tautology
-        // kernel — worth its own span when enabled.
-        let ok = tracer.scope("espresso.tautology", || verify_minimized(&best, f, d));
-        assert!(
-            ok,
-            "espresso contract violated: F ⊆ M ⊆ F ∪ D does not hold"
-        );
-    }
-    let final_cubes = best.len();
-    ctl.count_cubes(initial_cubes as u64, final_cubes as u64);
-    flush_scratch(&tracer);
-    Ok((
-        best,
-        MinimizeStats {
-            initial_cubes,
-            final_cubes,
-            iterations,
-        },
-    ))
+    Ok((best, iterations))
 }
 
 /// LAST_GASP: reduce every cube *independently* (against the original
 /// cover), expand each reduced cube, and keep the new primes that cover at
-/// least two reduced cubes; returns whether the cover changed.
-fn last_gasp(f: &mut Cover, d: &Cover) -> bool {
+/// least two reduced cubes; returns whether the cover changed. Raises are
+/// tested against the OFF-set `r` of `f ∪ d`.
+fn last_gasp(f: &mut Cover, d: &Cover, r: &CubeMatrix) -> bool {
     let space = f.space().clone();
     let n = f.len();
     if n < 2 {
@@ -269,20 +295,14 @@ fn last_gasp(f: &mut Cover, d: &Cover) -> bool {
     // Try to expand each reduced cube into a prime covering >= 2 reduced
     // cubes.
     let mut additions: Vec<Cube> = Vec::new();
-    let oracle = {
-        let mut cubes: Vec<Cube> = f.cubes().to_vec();
-        cubes.extend(d.iter().cloned());
-        Cover::from_cubes(space.clone(), cubes)
-    };
     for g in &reduced {
         let mut c = g.clone();
         for v in space.vars() {
             for p in 0..space.parts(v) {
                 if !c.has_part(&space, v, p) {
-                    let mut t = c.clone();
-                    t.set_part(&space, v, p);
-                    if cube_in_cover(&oracle, &t) {
-                        c = t;
+                    c.set_part(&space, v, p);
+                    if !r.meets_no_row(&space, c.words()) {
+                        c.clear_part(&space, v, p);
                     }
                 }
             }

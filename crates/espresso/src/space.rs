@@ -67,6 +67,12 @@ struct SpaceData {
     /// For single-word fields (`spans[v].0 == spans[v].1`): the field mask
     /// within that word. Zero for multi-word fields.
     word_masks: Vec<u64>,
+    /// Per word: the top bit of every field lying wholly inside that word.
+    field_tops: Vec<u64>,
+    /// Per word: the other bits of those fields (field mask minus top bit).
+    field_rests: Vec<u64>,
+    /// Variables whose field straddles a word boundary.
+    straddling: Vec<usize>,
 }
 
 impl PartialEq for CubeSpace {
@@ -125,6 +131,9 @@ impl CubeSpace {
         let mut full = vec![0u64; words];
         let mut spans = Vec::with_capacity(sizes.len());
         let mut word_masks = Vec::with_capacity(sizes.len());
+        let mut field_tops = vec![0u64; words];
+        let mut field_rests = vec![0u64; words];
+        let mut straddling = Vec::new();
         for (v, &s) in sizes.iter().enumerate() {
             let mut m = vec![0u64; words];
             for p in 0..s {
@@ -137,7 +146,15 @@ impl CubeSpace {
             let lo = offsets[v] as usize / 64;
             let hi = (offsets[v] + s - 1) as usize / 64;
             spans.push((lo as u32, hi as u32));
-            word_masks.push(if lo == hi { m[lo] } else { 0 });
+            if lo == hi {
+                let top = 1u64 << ((offsets[v] + s - 1) % 64);
+                field_tops[lo] |= top;
+                field_rests[lo] |= m[lo] & !top;
+                word_masks.push(m[lo]);
+            } else {
+                straddling.push(v);
+                word_masks.push(0);
+            }
             masks.push(m);
         }
         CubeSpace {
@@ -151,6 +168,9 @@ impl CubeSpace {
                 full,
                 spans,
                 word_masks,
+                field_tops,
+                field_rests,
+                straddling,
             }),
         }
     }
@@ -248,6 +268,31 @@ impl CubeSpace {
         } else {
             None
         }
+    }
+
+    /// Whether rows `a` and `b` intersect: every variable keeps at least one
+    /// part in `a & b` (cube distance 0).
+    ///
+    /// Word-parallel: within a word, adding each field's non-top bits of
+    /// `x = a & b` to themselves carries into the field's top bit iff some
+    /// non-top bit is set, and never out of the field. So every field of
+    /// the word is non-empty iff `((x & rest) + rest) | x` covers every top
+    /// bit. Fields that straddle a word boundary are checked one by one.
+    #[inline]
+    pub fn rows_intersect(&self, a: &[u64], b: &[u64]) -> bool {
+        let d = &*self.inner;
+        for k in 0..d.words {
+            let x = a[k] & b[k];
+            let (tops, rest) = (d.field_tops[k], d.field_rests[k]);
+            if (((x & rest) + rest) | x) & tops != tops {
+                return false;
+            }
+        }
+        d.straddling.iter().all(|&v| {
+            let (lo, hi) = d.spans[v];
+            let mask = &d.masks[v];
+            (lo as usize..=hi as usize).any(|k| a[k] & b[k] & mask[k] != 0)
+        })
     }
 
     /// Iterator over variable indices.
@@ -358,6 +403,58 @@ mod tests {
             let (w, m) = t.single_word_field(v).expect("one-word space");
             assert_eq!(w, 0);
             assert_eq!(m, t.mask(v)[0]);
+        }
+    }
+
+    #[test]
+    fn rows_intersect_matches_field_scan() {
+        // One-word, MV and word-straddling layouts, against a per-variable
+        // scan over every pair of a small exhaustive-ish row set.
+        let spaces = [
+            CubeSpace::binary_with_output(3, 4),
+            CubeSpace::new(
+                &[1, 5, 3],
+                &[VarKind::Multi, VarKind::Multi, VarKind::Output],
+            ),
+            CubeSpace::new(
+                &[2, 100, 30],
+                &[VarKind::Binary, VarKind::Multi, VarKind::Output],
+            ),
+            CubeSpace::new(&[2; 40], &[VarKind::Binary; 40]),
+        ];
+        for s in &spaces {
+            let mut rows: Vec<Vec<u64>> = Vec::new();
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..64 {
+                let mut r = s.full_words().to_vec();
+                for v in s.vars() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x.is_multiple_of(3) {
+                        let p = (x >> 8) as u32 % s.parts(v);
+                        let b = s.bit(v, p) as usize;
+                        r[b / 64] &= !(1u64 << (b % 64));
+                    }
+                    if x.is_multiple_of(11) {
+                        for (w, m) in r.iter_mut().zip(s.mask(v)) {
+                            *w &= !m;
+                        }
+                    }
+                }
+                rows.push(r);
+            }
+            for a in &rows {
+                for b in &rows {
+                    let scan = s.vars().all(|v| {
+                        s.mask(v)
+                            .iter()
+                            .enumerate()
+                            .any(|(k, m)| a[k] & b[k] & m != 0)
+                    });
+                    assert_eq!(s.rows_intersect(a, b), scan, "{s:?}");
+                }
+            }
         }
     }
 

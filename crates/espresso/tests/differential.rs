@@ -7,10 +7,11 @@
 //! crates, reproducible offline) — the same stream every seeded component
 //! draws from.
 
+use espresso::complement::off_set;
 use espresso::legacy;
 use espresso::{
     complement, containment, cube_in_cover, minimize_with, tautology, Cover, Cube, CubeSpace,
-    MinimizeOptions, VarKind,
+    MinimizeOptions, Scratch, VarKind,
 };
 use fsm::SplitMix64;
 
@@ -356,4 +357,139 @@ fn minimize_still_satisfies_contract_on_larger_random_covers() {
         );
         assert!(m.len() <= f.len() + d.len());
     }
+}
+
+/// Multi-word spaces for the OFF-set oracle: a 100-part MV field and a
+/// 30-part output field that both straddle word boundaries, 3-part MV
+/// fields straddling at bits 63/64 and 127/128, and 70 word-aligned binary
+/// variables.
+fn wide_spaces() -> Vec<CubeSpace> {
+    vec![
+        CubeSpace::new(
+            &[2, 100, 30],
+            &[VarKind::Binary, VarKind::Multi, VarKind::Output],
+        ),
+        CubeSpace::new(&[3; 50], &[VarKind::Multi; 50]),
+        CubeSpace::binary(70),
+    ]
+}
+
+#[test]
+fn off_set_raise_test_matches_cube_in_cover() {
+    // A raise is legal iff the raised cube meets no row of the OFF-set of
+    // F ∪ D; that must agree with exact containment in F ∪ D for every
+    // probe: random cubes (mostly outside), subcubes of F ∪ D (inside) and
+    // subcubes with one part raised (the EXPAND shape, either side).
+    let mut rng = SplitMix64::new(0x0ff5_e7a1);
+    let mut pool = Scratch::new();
+    let narrow = spaces().into_iter().map(|s| (s, false));
+    let wide = wide_spaces().into_iter().map(|s| (s, true));
+    for (space, is_wide) in narrow.chain(wide) {
+        for round in 0..30 {
+            // Wide covers stay mostly full so their complement stays small.
+            let mut cover = |max: u64| {
+                let n = rng.below_u64(max + 1);
+                let cubes = (0..n)
+                    .map(|_| {
+                        if is_wide {
+                            mostly_full_cube(&mut rng, &space, 4)
+                        } else {
+                            random_cube(&mut rng, &space)
+                        }
+                    })
+                    .collect();
+                Cover::from_cubes(space.clone(), cubes)
+            };
+            let f = cover(6);
+            let d = cover(3);
+            let r = off_set(&f, &d, &mut pool);
+            let fd = f.union(&d);
+            let mut probes = Vec::new();
+            for _ in 0..6 {
+                probes.push(random_cube(&mut rng, &space));
+                probes.push(mostly_full_cube(&mut rng, &space, 3));
+                if !fd.is_empty() {
+                    let host = &fd.cubes()[rng.below_u64(fd.len() as u64) as usize];
+                    let mut sub = host.and(&mostly_full_cube(&mut rng, &space, 2));
+                    probes.push(sub.clone());
+                    let v = rng.below_u64(space.num_vars() as u64) as usize;
+                    sub.set_part(&space, v, rng.below_u64(space.parts(v) as u64) as u32);
+                    probes.push(sub);
+                }
+            }
+            for t in &probes {
+                assert_eq!(
+                    r.meets_no_row(&space, t.words()),
+                    cube_in_cover(&fd, t),
+                    "OFF-set test diverged in {space:?}, round {round}: \
+                     {f:?} / {d:?} / {t:?}"
+                );
+            }
+            pool.release(r);
+        }
+    }
+}
+
+/// A near-minterm cube: each variable pinned to one random part, except
+/// for an occasional full field — the scattered on-sets on which the
+/// reduce/expand loop stalls in a local minimum that LAST_GASP escapes.
+fn sparse_cube(rng: &mut SplitMix64, space: &CubeSpace) -> Cube {
+    let mut c = Cube::full(space);
+    for v in space.vars() {
+        if rng.below_u64(5) != 0 {
+            c.clear_var(space, v);
+            c.set_part(space, v, rng.below_u64(space.parts(v) as u64) as u32);
+        }
+    }
+    c
+}
+
+#[test]
+fn last_gasp_path_matches_legacy() {
+    // Seeded covers on which LAST_GASP changes the minimized cover (the
+    // result differs from a run without it): there the OFF-set raises
+    // inside last_gasp decide the answer, and it must equal legacy's.
+    let mut rng = SplitMix64::new(0x1a57_6a59);
+    let with = MinimizeOptions {
+        verify: true,
+        ..MinimizeOptions::default()
+    };
+    let without = MinimizeOptions {
+        last_gasp: false,
+        ..with
+    };
+    let mut effective = 0;
+    for space in [
+        CubeSpace::binary_with_output(4, 2),
+        CubeSpace::binary_with_output(5, 2),
+        CubeSpace::new(
+            &[4, 3, 2, 2, 3],
+            &[
+                VarKind::Multi,
+                VarKind::Multi,
+                VarKind::Binary,
+                VarKind::Binary,
+                VarKind::Output,
+            ],
+        ),
+    ] {
+        for _ in 0..200 {
+            let n = 6 + rng.below_u64(14);
+            let cubes = (0..n).map(|_| sparse_cube(&mut rng, &space)).collect();
+            let f = Cover::from_cubes(space.clone(), cubes);
+            let d = Cover::from_cubes(space.clone(), vec![sparse_cube(&mut rng, &space)]);
+            let ours = minimize_with(&f, &d, with);
+            if ours.0 == minimize_with(&f, &d, without).0 {
+                continue;
+            }
+            effective += 1;
+            let theirs = legacy::minimize_with(&f, &d, with);
+            assert_eq!(ours, theirs, "last_gasp diverged on {f:?} / {d:?}");
+        }
+    }
+    assert!(
+        effective > 0,
+        "no seeded cover reached an effective LAST_GASP"
+    );
+    println!("{effective} covers with an effective LAST_GASP");
 }

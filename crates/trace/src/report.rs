@@ -6,8 +6,9 @@
 //! snapshot. From there:
 //!
 //! * [`TraceDoc::render_report`] prints the span tree with per-span total
-//!   and self wall time, a per-name aggregation table, and histogram
-//!   quantile estimates (p50/p90/p99 via [`crate::HistogramSnapshot`]);
+//!   and self wall time, a per-name aggregation table, counter totals, and
+//!   histogram quantile estimates (p50/p90/p99 via
+//!   [`crate::HistogramSnapshot`]);
 //! * [`TraceDoc::stage_totals`] reduces the trace to per-name total wall
 //!   times, the unit [`diff`] compares — against a second trace or against
 //!   a committed `nova-bench/1` baseline ([`bench_baseline_totals`]).
@@ -228,7 +229,7 @@ impl TraceDoc {
     }
 
     /// The full human-readable report: span tree, per-stage aggregation,
-    /// histogram quantiles.
+    /// counter totals, histogram quantiles.
     pub fn render_report(&self) -> String {
         let mut out = String::new();
         if let Some(req) = &self.request_id {
@@ -255,6 +256,17 @@ impl TraceDoc {
                 fmt_ns(a.total_ns),
                 fmt_ns(a.self_ns)
             );
+        }
+        if !self.metrics.counters.is_empty() {
+            // One counter event per tracer fork: sum them per name.
+            let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
+            for (name, v) in &self.metrics.counters {
+                *totals.entry(name).or_default() += v;
+            }
+            let _ = writeln!(out, "\ncounters:");
+            for (name, v) in totals {
+                let _ = writeln!(out, "  {name:<32} {v:>12}");
+            }
         }
         if !self.metrics.histograms.is_empty() {
             let _ = writeln!(out, "\nhistograms (count mean p50 p90 p99 max):");
@@ -464,6 +476,8 @@ mod tests {
         assert!(text.contains("request 0000000000000abc"), "{text}");
         assert!(text.contains("portfolio"), "{text}");
         assert!(text.contains("per-stage aggregation"), "{text}");
+        assert!(text.contains("counters:"), "{text}");
+        assert!(text.contains("embed.nodes"), "{text}");
         assert!(text.contains("espresso.cubes_per_iteration"), "{text}");
     }
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nova_core::driver::input_constraints;
-use nova_core::exact::{iexact_code, pos_equiv_covers_jobs_ctl, ExactOptions};
+use nova_core::exact::{iexact_code, pos_equiv_covers_ctl, ExactOptions};
 use nova_core::{mincube_dim, InputGraph, RunCtl};
 
 /// Counts every allocation and reallocation (frees are not counted: the
@@ -67,10 +67,7 @@ fn bench_pos_equiv(h: &mut nova_bench::microbench::Harness) {
         let ig = graph_of(name);
         let k = mincube_dim(&ig);
         g.bench(&format!("pos_equiv/{name}"), || {
-            pos_equiv_covers_jobs_ctl(&ig, k, &no_levels, &[], Some(BUDGET), 1, &ctl)
-        });
-        g.bench(&format!("pos_equiv_par/{name}"), || {
-            pos_equiv_covers_jobs_ctl(&ig, k, &no_levels, &[], Some(BUDGET), 4, &ctl)
+            pos_equiv_covers_ctl(&ig, k, &no_levels, &[], Some(BUDGET), &ctl)
         });
     }
 }
@@ -101,18 +98,17 @@ fn report_allocations() {
         // Warm the thread-local scratch pool so the count reflects the
         // steady state the encoder loops actually run in.
         for _ in 0..3 {
-            std::hint::black_box(pos_equiv_covers_jobs_ctl(
+            std::hint::black_box(pos_equiv_covers_ctl(
                 &ig,
                 k,
                 &no_levels,
                 &[],
                 Some(BUDGET),
-                1,
                 &ctl,
             ));
         }
         let allocs =
-            allocs_of(|| pos_equiv_covers_jobs_ctl(&ig, k, &no_levels, &[], Some(BUDGET), 1, &ctl));
+            allocs_of(|| pos_equiv_covers_ctl(&ig, k, &no_levels, &[], Some(BUDGET), &ctl));
         println!("  {:<24} {:>8}", format!("pos_equiv/{name}"), allocs);
     }
 }

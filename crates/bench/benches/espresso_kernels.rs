@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use espresso::expand::expand;
 use espresso::factor::output_expr;
 use espresso::{
-    complement, containment, cube_in_cover, legacy, minimize, tautology, with_ambient_jobs, Cover,
-    Cube, CubeSpace,
+    complement, containment, cube_in_cover, legacy, minimize, tautology, Cover, Cube, CubeSpace,
 };
 use fsm::{symbolic_cover, SplitMix64};
 use nova_bench::microbench::Harness;
@@ -145,37 +144,6 @@ fn bench_kernel_throughput(h: &mut Harness) {
     }
 }
 
-/// Steady-state allocation gate for the task-parallel paths: once the worker
-/// pool and every per-worker scratch arena are warm, a parallel dispatch must
-/// not touch the allocator at all. Warm-up is iterated because index claiming
-/// is racy — different runs can hand a worker different branch sizes, so each
-/// scratch arena only reaches its high-water capacity after a few rounds.
-fn report_parallel_allocations() {
-    println!();
-    println!("heap allocations per call under ambient jobs = 4 (steady state):");
-    let space = CubeSpace::binary_with_output(6, 3);
-    let mut rng = SplitMix64::new(0x9a11_e702);
-    let cubes: Vec<Cube> = (0..80)
-        .map(|_| mostly_full_cube(&mut rng, &space))
-        .collect();
-    let f = Cover::from_cubes(space, cubes);
-    let (mut taut, mut comp) = (u64::MAX, u64::MAX);
-    for _ in 0..50 {
-        taut = allocs_of(|| with_ambient_jobs(4, || tautology(&f)));
-        comp = allocs_of(|| with_ambient_jobs(4, || complement(&f)));
-        if taut == 0 && comp == 0 {
-            break;
-        }
-    }
-    println!("  tautology  (jobs=4)      {taut}");
-    println!("  complement (jobs=4)      {comp}");
-    assert_eq!(
-        (taut, comp),
-        (0, 0),
-        "parallel kernel paths must reach zero steady-state allocations"
-    );
-}
-
 /// Heap-allocation comparison of the arena hot path against the frozen
 /// legacy kernels (steady state, after the scratch pool is warm).
 fn report_allocations() {
@@ -252,5 +220,4 @@ fn main() {
     bench_kernels(&mut h);
     bench_kernel_throughput(&mut h);
     report_allocations();
-    report_parallel_allocations();
 }

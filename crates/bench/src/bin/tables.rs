@@ -46,9 +46,7 @@ fn main() {
     );
     // One thread per machine, capped at the core count (each report is a
     // long single-threaded pipeline; the big machines dominate wall clock).
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(4);
+    let workers = fsm::cpus();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<MachineReport>>> = (0..all.len())
         .map(|_| std::sync::Mutex::new(None))

@@ -156,6 +156,51 @@ fn nova_portfolio_json() {
     assert!(stdout.contains("\"runs\""), "{stdout}");
 }
 
+#[test]
+fn nova_portfolio_default_flags_finish_dk16_within_the_deadline() {
+    // Every algorithm run embeds and minimizes on its own worker thread, so
+    // the default portfolio finishes dk16 in about a second; nothing may
+    // time out or degrade under a 15 s deadline.
+    let (stdout, stderr, ok) = run_with_stdin(
+        env!("CARGO_BIN_EXE_nova"),
+        &[
+            "--portfolio",
+            "--bench",
+            "dk16",
+            "--timeout-ms",
+            "15000",
+            "--json",
+        ],
+        "",
+    );
+    assert!(ok, "{stderr}");
+    let doc = json::parse(&stdout).expect("portfolio JSON parses");
+    let Some(json::Json::Arr(runs)) = doc.get("runs") else {
+        panic!("runs missing: {stdout}");
+    };
+    assert_eq!(runs.len(), 9, "{stdout}");
+    for run in runs {
+        let outcome = run.get("outcome").expect("outcome field");
+        assert!(
+            *outcome != json::Json::str("timeout") && *outcome != json::Json::str("degraded"),
+            "{}",
+            run.to_compact()
+        );
+    }
+}
+
+#[test]
+fn nova_rejects_the_removed_inner_worker_flags() {
+    for flag in ["--embed-jobs", "--espresso-jobs"] {
+        let (_, _, code) = run_with_code(
+            env!("CARGO_BIN_EXE_nova"),
+            &["--portfolio", flag, "1"],
+            TOY_KISS,
+        );
+        assert_eq!(code, 2, "{flag} is a usage error");
+    }
+}
+
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("nova-cli-test-{}-{name}", std::process::id()));

@@ -278,33 +278,6 @@ pub fn run_traced(
     run_traced_shared(fsm, algorithm, target_bits, ctl, &cell)
 }
 
-/// [`run_traced`] with explicit worker counts (`0` = one per core, `1` =
-/// sequential) for the embedding search (`embed_jobs`) and the ESPRESSO
-/// unate-recursion branch fan-out (`espresso_jobs`). Encodings are identical
-/// across embed job counts whenever no deadline fires mid-search (see
-/// [`crate::exact::pos_equiv_covers_jobs_ctl`]), and bit-identical across
-/// espresso job counts unconditionally (parallel branches write disjoint
-/// slots stitched in branch order).
-pub fn run_traced_jobs(
-    fsm: &Fsm,
-    algorithm: Algorithm,
-    target_bits: Option<u32>,
-    embed_jobs: usize,
-    espresso_jobs: usize,
-    ctl: &RunCtl,
-) -> TracedRun {
-    let cell = StageCell::new();
-    run_traced_shared_jobs(
-        fsm,
-        algorithm,
-        target_bits,
-        embed_jobs,
-        espresso_jobs,
-        ctl,
-        &cell,
-    )
-}
-
 /// [`run_traced`] with the stage-time accumulator owned by the caller: the
 /// engine passes a cell it keeps *outside* its `catch_unwind`, so stage
 /// times recorded before a worker panic are still reported.
@@ -315,30 +288,7 @@ pub fn run_traced_shared(
     ctl: &RunCtl,
     cell: &StageCell,
 ) -> TracedRun {
-    run_traced_shared_jobs(fsm, algorithm, target_bits, 0, 0, ctl, cell)
-}
-
-/// [`run_traced_shared`] with explicit embedding / espresso worker counts
-/// (see [`run_traced_jobs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced_shared_jobs(
-    fsm: &Fsm,
-    algorithm: Algorithm,
-    target_bits: Option<u32>,
-    embed_jobs: usize,
-    espresso_jobs: usize,
-    ctl: &RunCtl,
-    cell: &StageCell,
-) -> TracedRun {
-    let status = match run_traced_inner(
-        fsm,
-        algorithm,
-        target_bits,
-        embed_jobs,
-        espresso_jobs,
-        ctl,
-        cell,
-    ) {
+    let status = match run_traced_inner(fsm, algorithm, target_bits, ctl, cell) {
         Ok(Some(result)) => RunStatus::Done(result),
         Ok(None) => RunStatus::Unsolved,
         Err(Cancelled) => match degrade(fsm, ctl) {
@@ -372,15 +322,10 @@ fn run_traced_inner(
     fsm: &Fsm,
     algorithm: Algorithm,
     target_bits: Option<u32>,
-    embed_jobs: usize,
-    espresso_jobs: usize,
     ctl: &RunCtl,
     cell: &StageCell,
 ) -> Result<Option<EvalResult>, Cancelled> {
-    let opts = HybridOptions {
-        embed_jobs,
-        ..HybridOptions::default()
-    };
+    let opts = HybridOptions::default();
     let enc = match algorithm {
         Algorithm::IExact => {
             let ics = stage(
@@ -397,13 +342,7 @@ fn run_traced_inner(
                 cell,
                 "stage.embed",
                 |s| &mut s.embed,
-                || {
-                    let opts = exact::ExactOptions {
-                        embed_jobs,
-                        ..exact::ExactOptions::default()
-                    };
-                    exact::iexact_code_ctl(&ig, opts, ctl)
-                },
+                || exact::iexact_code_ctl(&ig, exact::ExactOptions::default(), ctl),
             )?;
             let Some(embedding) = embedding else {
                 return Ok(None);
@@ -548,11 +487,7 @@ fn run_traced_inner(
         "stage.espresso",
         |s| &mut s.espresso,
         || {
-            let opts = MinimizeOptions {
-                jobs: espresso_jobs,
-                ..MinimizeOptions::default()
-            };
-            let (min, _) = minimize_with_ctl(&pla.on, &pla.dc, opts, ctl)?;
+            let (min, _) = minimize_with_ctl(&pla.on, &pla.dc, MinimizeOptions::default(), ctl)?;
             let literals = cover_factored_literals(&min);
             Ok::<_, Cancelled>((min, literals))
         },

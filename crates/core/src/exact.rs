@@ -7,13 +7,7 @@
 //! stream from the iterators in [`crate::face`], pairwise `verify` facts
 //! come from the precomputed [`Relations`] table of the input graph, and
 //! deadline/telemetry traffic is batched ([`CHARGE_BATCH`] nodes per flush).
-//!
-//! Root-level subtrees can be searched in parallel (`jobs > 1`): each
-//! candidate face of the first selected node becomes an independent branch,
-//! a first-solution-wins flag preempts branches that can no longer matter,
-//! and a post-hoc replay of the per-branch work reconstructs the exact
-//! sequential outcome, so parallel and sequential runs return bit-identical
-//! results whenever no wall-clock deadline fires.
+//! The search runs on the calling thread.
 
 use crate::assign::{assign_codes_ctl, AssignOutcome};
 use crate::constraint::StateSet;
@@ -23,8 +17,6 @@ use crate::scratch::{self, with_embed_scratch};
 use espresso::{Cancelled, RunCtl};
 use fsm::StateId;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Options controlling the exact search.
@@ -46,9 +38,8 @@ pub struct ExactOptions {
     /// spanned face contains no non-member), so instances with no *strict*
     /// subposet embedding — e.g. bbara — are still solved exactly.
     pub complete: bool,
-    /// Worker threads for root-level subtree parallelism (`0` = one per
-    /// available core, `1` = sequential). Results are identical across all
-    /// values whenever no deadline fires mid-search.
+    /// Ignored: the search always runs on the calling thread. Kept until the
+    /// benchmark harness drops its uses.
     pub embed_jobs: usize,
 }
 
@@ -195,9 +186,8 @@ fn count_cond3(ig: &InputGraph, mut k: u32) -> u32 {
 /// counters are touched once per batch instead of once per candidate.
 const CHARGE_BATCH: u64 = 1024;
 
-/// Outcome of one (sequential or branch) search run, richer than the public
-/// [`PosEquiv`]: replay of parallel branches needs to distinguish a local
-/// cap from a `RunCtl` cancellation from a first-solution preemption.
+/// Outcome of one search run, richer than the public [`PosEquiv`]: callers
+/// need to tell a local cap from a `RunCtl` cancellation.
 enum EmbedOutcome {
     Found(Embedding),
     Exhausted,
@@ -205,8 +195,6 @@ enum EmbedOutcome {
     Capped,
     /// The shared `RunCtl` deadline/fuel fired.
     Cancelled,
-    /// A lower-index parallel branch already found a solution.
-    Preempted,
 }
 
 /// Why candidates were rejected, flushed once per search as
@@ -335,7 +323,6 @@ struct Search<'a> {
     /// charge, so a portfolio deadline or node budget unwinds the search.
     ctl: &'a RunCtl,
     aborted: bool,
-    preempted: bool,
     last: Option<usize>,
     /// Current recursion depth of [`Search::extend`] (for the backtrack
     /// depth histogram).
@@ -343,16 +330,13 @@ struct Search<'a> {
     /// Output covering constraints `(u, v)`: code(u) must bit-wise strictly
     /// cover code(v) (used by `io_semiexact_code`).
     covers: &'a [(usize, usize)],
-    /// When running as a parallel branch: the first-solution-wins cell and
-    /// this branch's index. A decided index below ours preempts us.
-    branch: Option<(&'a AtomicUsize, usize)>,
     prune: PruneStats,
 }
 
 impl<'a> Search<'a> {
-    /// Accounts one candidate. Deadline/fuel and preemption are only checked
-    /// at batch boundaries, keeping the per-node cost to two local counter
-    /// increments and one branch.
+    /// Accounts one candidate. Deadline/fuel are only checked at batch
+    /// boundaries, keeping the per-node cost to two local counter increments
+    /// and one branch.
     fn charge(&mut self) -> bool {
         self.work += 1;
         self.pending += 1;
@@ -363,19 +347,9 @@ impl<'a> Search<'a> {
                 return false;
             }
         }
-        if self.pending >= CHARGE_BATCH {
-            if let Some((decided, idx)) = self.branch {
-                if decided.load(Ordering::Relaxed) < idx {
-                    self.flush_counters();
-                    self.preempted = true;
-                    self.aborted = true;
-                    return false;
-                }
-            }
-            if !self.flush_counters() {
-                self.aborted = true;
-                return false;
-            }
+        if self.pending >= CHARGE_BATCH && !self.flush_counters() {
+            self.aborted = true;
+            return false;
         }
         true
     }
@@ -856,11 +830,8 @@ fn extract(search: &Search) -> Embedding {
     }
 }
 
-/// Runs one backtracking search to completion: the whole tree when `root`
-/// is `None`, or the single root-level subtree `root = (node, face)` when
-/// acting as a parallel branch. Returns the outcome and the work spent
-/// (clamped to `budget`).
-#[allow(clippy::too_many_arguments)]
+/// Runs one backtracking search to completion. Returns the outcome and the
+/// work spent (clamped to `budget`).
 fn run_search(
     ig: &InputGraph,
     k: u32,
@@ -869,8 +840,6 @@ fn run_search(
     covers: &[(usize, usize)],
     budget: Option<u64>,
     ctl: &RunCtl,
-    root: Option<(usize, Face)>,
-    branch: Option<(&AtomicUsize, usize)>,
 ) -> (EmbedOutcome, u64) {
     let before = scratch::thread_stats();
     let (mut faces, assigned, mut multis) =
@@ -893,25 +862,13 @@ fn run_search(
         budget,
         ctl,
         aborted: false,
-        preempted: false,
         last: None,
         depth: 0,
         covers,
-        branch,
         prune: PruneStats::default(),
     };
-    let found = match root {
-        Some((node, face)) => {
-            // Mirror the sequential recursion depth for the histogram.
-            search.depth = 1;
-            matches!(search.try_candidate(node, face, None), Step::Found)
-        }
-        None => search.extend(),
-    };
-    let outcome = if found {
+    let outcome = if search.extend() {
         EmbedOutcome::Found(extract(&search))
-    } else if search.preempted {
-        EmbedOutcome::Preempted
     } else if search.aborted {
         if ctl.cancelled() {
             EmbedOutcome::Cancelled
@@ -949,222 +906,9 @@ fn run_search(
     (outcome, spent)
 }
 
-/// The root node the sequential search would select first, plus all its
-/// candidate faces in sequential trial order. `None` when nothing is
-/// selectable at the root (trivial instance).
-fn root_candidates(
-    ig: &InputGraph,
-    k: u32,
-    level_lo: &[u32],
-    free_levels: bool,
-    ctl: &RunCtl,
-) -> Option<(usize, Vec<Face>)> {
-    let (mut faces, assigned, multis) =
-        with_embed_scratch(|sc| (sc.acquire_faces(), sc.acquire_pairs(), sc.acquire_indices()));
-    faces.resize(ig.len(), None);
-    faces[ig.universe()] = Some(Face::full(k));
-    let probe = Search {
-        ig,
-        rel: ig.relations(),
-        k,
-        free_levels,
-        level_lo,
-        faces,
-        assigned,
-        multis,
-        work: 0,
-        pending: 0,
-        pending_backtracks: 0,
-        budget: None,
-        ctl,
-        aborted: false,
-        preempted: false,
-        last: None,
-        depth: 0,
-        covers: &[],
-        branch: None,
-        prune: PruneStats::default(),
-    };
-    let picked = probe.select_next().and_then(|node| {
-        let range = probe.feasible_levels(node);
-        if range.is_empty() {
-            return None;
-        }
-        let mut specs = Vec::new();
-        let mut level = range.first();
-        loop {
-            match ig.category(node) {
-                Category::Primary => specs.extend(faces_of_level(k, level)),
-                Category::Single => {
-                    let ff = probe.faces[ig.fathers(node)[0]].expect("father assigned");
-                    specs.extend(subfaces_of_level(&ff, level));
-                }
-                _ => unreachable!("only cat 1/3 nodes are selected"),
-            }
-            match range.next_after(level) {
-                Some(l) => level = l,
-                None => break,
-            }
-        }
-        Some((node, specs))
-    });
-    let Search {
-        faces,
-        assigned,
-        multis,
-        ..
-    } = probe;
-    with_embed_scratch(|sc| {
-        sc.release_faces(faces);
-        sc.release_pairs(assigned);
-        sc.release_indices(multis);
-    });
-    picked
-}
-
-/// Resolves `jobs = 0` to the machine's available parallelism.
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-/// Parallel root-subtree search with deterministic budget replay: every
-/// root candidate runs as an independent branch under the *full* budget,
-/// and the per-branch work is then replayed in sequential candidate order
-/// to re-derive exactly what the sequential search would have returned.
-/// First-solution-wins: a branch that finds an embedding preempts all
-/// higher-index branches (their results cannot matter).
-///
-/// Returns `(outcome, sequential-equivalent work, actual work)`.
-#[allow(clippy::too_many_arguments)]
-fn pos_equiv_parallel(
-    ig: &InputGraph,
-    k: u32,
-    level_lo: &[u32],
-    free_levels: bool,
-    covers: &[(usize, usize)],
-    budget: Option<u64>,
-    jobs: usize,
-    ctl: &RunCtl,
-) -> (EmbedOutcome, u64, u64) {
-    let sequential = |(o, s): (EmbedOutcome, u64)| (o, s, s);
-    let Some((node, specs)) = root_candidates(ig, k, level_lo, free_levels, ctl) else {
-        return sequential(run_search(
-            ig,
-            k,
-            level_lo,
-            free_levels,
-            covers,
-            budget,
-            ctl,
-            None,
-            None,
-        ));
-    };
-    if specs.len() < 2 {
-        return sequential(run_search(
-            ig,
-            k,
-            level_lo,
-            free_levels,
-            covers,
-            budget,
-            ctl,
-            None,
-            None,
-        ));
-    }
-    let decided = AtomicUsize::new(usize::MAX);
-    let claim = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<(EmbedOutcome, u64)>> =
-        (0..specs.len()).map(|_| OnceLock::new()).collect();
-    let workers = jobs.min(specs.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let b = claim.fetch_add(1, Ordering::Relaxed);
-                if b >= specs.len() {
-                    break;
-                }
-                if decided.load(Ordering::Relaxed) < b {
-                    let _ = slots[b].set((EmbedOutcome::Preempted, 0));
-                    continue;
-                }
-                let out = run_search(
-                    ig,
-                    k,
-                    level_lo,
-                    free_levels,
-                    covers,
-                    budget,
-                    ctl,
-                    Some((node, specs[b])),
-                    Some((&decided, b)),
-                );
-                if matches!(out.0, EmbedOutcome::Found(_)) {
-                    decided.fetch_min(b, Ordering::Relaxed);
-                }
-                let _ = slots[b].set(out);
-            });
-        }
-    });
-    let outs: Vec<(EmbedOutcome, u64)> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap_or((EmbedOutcome::Preempted, 0)))
-        .collect();
-    let actual: u64 = outs.iter().map(|(_, w)| w).sum();
-    // Replay in sequential candidate order.
-    let mut rem = budget;
-    let mut spent: u64 = 0;
-    for (o, w) in outs {
-        match o {
-            EmbedOutcome::Exhausted => {
-                if let Some(r) = rem.as_mut() {
-                    if w > *r {
-                        // Sequentially, the budget would have run out midway
-                        // through this branch's subtree.
-                        return (EmbedOutcome::Capped, spent + *r, actual);
-                    }
-                    *r -= w;
-                }
-                spent += w;
-            }
-            EmbedOutcome::Found(e) => {
-                if let Some(r) = rem {
-                    if w > r {
-                        return (EmbedOutcome::Capped, spent + r, actual);
-                    }
-                }
-                return (EmbedOutcome::Found(e), spent + w, actual);
-            }
-            EmbedOutcome::Capped => {
-                // The branch alone exceeded the full budget; sequentially the
-                // cap fires within (or before) this subtree.
-                return (EmbedOutcome::Capped, spent + rem.unwrap_or(0), actual);
-            }
-            EmbedOutcome::Cancelled => {
-                return (EmbedOutcome::Cancelled, spent + w, actual);
-            }
-            EmbedOutcome::Preempted => {
-                // Unreachable: replay returns at the deciding (lower-index)
-                // branch before reaching any preempted one.
-                debug_assert!(false, "replay reached a preempted branch");
-                return (EmbedOutcome::Cancelled, spent, actual);
-            }
-        }
-    }
-    (EmbedOutcome::Exhausted, spent, actual)
-}
-
 /// Shared driver for every `pos_equiv`-family entry point: builds the
-/// per-node base levels, dispatches sequentially or in parallel, and flushes
-/// the run telemetry (`exact.nodes_visited`, `embed.nodes_per_sec`).
-#[allow(clippy::too_many_arguments)]
+/// per-node base levels, runs the search, and flushes the run telemetry
+/// (`exact.nodes_visited`, `embed.nodes_per_sec`).
 fn pos_equiv_run(
     ig: &InputGraph,
     k: u32,
@@ -1172,7 +916,6 @@ fn pos_equiv_run(
     covers: &[(usize, usize)],
     budget: Option<u64>,
     free_levels: bool,
-    jobs: usize,
     ctl: &RunCtl,
 ) -> (EmbedOutcome, u64) {
     if (ig.num_states() as u64) > 1u64 << k.min(63) {
@@ -1197,32 +940,12 @@ fn pos_equiv_run(
     tracer.incr("embed.pos_equiv_calls", 1);
     let span = tracer.span("exact.pos_equiv");
     let t0 = Instant::now();
-    let workers = effective_jobs(jobs);
-    // Parallel branches each see the full budget, so fuel-limited handles
-    // (which meter *total* work) must stay sequential to keep the node
-    // budget deterministic. Fault-armed handles likewise: injected faults
-    // fire at operation counts, which must not depend on thread scheduling.
-    let (outcome, spent, actual) = if workers > 1 && !ctl.requires_determinism() {
-        pos_equiv_parallel(ig, k, &level_lo, free_levels, covers, budget, workers, ctl)
-    } else {
-        let (o, s) = run_search(
-            ig,
-            k,
-            &level_lo,
-            free_levels,
-            covers,
-            budget,
-            ctl,
-            None,
-            None,
-        );
-        (o, s, s)
-    };
+    let (outcome, spent) = run_search(ig, k, &level_lo, free_levels, covers, budget, ctl);
     drop(span);
-    tracer.incr("embed.nodes_visited", actual);
+    tracer.incr("embed.nodes_visited", spent);
     let secs = t0.elapsed().as_secs_f64();
     if secs > 0.0 {
-        tracer.gauge("embed.nodes_per_sec", (actual as f64 / secs) as i64);
+        tracer.gauge("embed.nodes_per_sec", (spent as f64 / secs) as i64);
     }
     with_embed_scratch(|sc| sc.release_levels(level_lo));
     (outcome, spent)
@@ -1232,9 +955,7 @@ fn to_pos_equiv(outcome: EmbedOutcome) -> PosEquiv {
     match outcome {
         EmbedOutcome::Found(e) => PosEquiv::Found(e),
         EmbedOutcome::Exhausted => PosEquiv::Exhausted,
-        EmbedOutcome::Capped | EmbedOutcome::Cancelled | EmbedOutcome::Preempted => {
-            PosEquiv::Aborted
-        }
+        EmbedOutcome::Capped | EmbedOutcome::Cancelled => PosEquiv::Aborted,
     }
 }
 
@@ -1277,26 +998,7 @@ pub fn pos_equiv_covers_ctl(
     budget: Option<u64>,
     ctl: &RunCtl,
 ) -> PosEquiv {
-    pos_equiv_covers_jobs_ctl(ig, k, primary_levels, covers, budget, 1, ctl)
-}
-
-/// [`pos_equiv_covers_ctl`] with root-subtree parallelism: `jobs` worker
-/// threads split the first selected node's candidate faces (`0` = one per
-/// core). The result is bit-identical to `jobs = 1` whenever no deadline
-/// fires: branch work is replayed in sequential candidate order against the
-/// budget, and first-solution-wins preemption only cancels branches the
-/// sequential search would never have reached.
-#[allow(clippy::too_many_arguments)]
-pub fn pos_equiv_covers_jobs_ctl(
-    ig: &InputGraph,
-    k: u32,
-    primary_levels: &BTreeMap<usize, u32>,
-    covers: &[(usize, usize)],
-    budget: Option<u64>,
-    jobs: usize,
-    ctl: &RunCtl,
-) -> PosEquiv {
-    let (outcome, _) = pos_equiv_run(ig, k, primary_levels, covers, budget, true, jobs, ctl);
+    let (outcome, _) = pos_equiv_run(ig, k, primary_levels, covers, budget, true, ctl);
     to_pos_equiv(outcome)
 }
 
@@ -1344,12 +1046,11 @@ pub fn iexact_code_ctl(
             &[],
             cap,
             !opts.min_dimension_faces_only,
-            opts.embed_jobs,
             ctl,
         );
         match outcome {
             EmbedOutcome::Found(e) => return Ok(Some(e)),
-            EmbedOutcome::Cancelled | EmbedOutcome::Preempted => return Err(Cancelled),
+            EmbedOutcome::Cancelled => return Err(Cancelled),
             EmbedOutcome::Exhausted | EmbedOutcome::Capped => debit(&mut remaining, spent),
         }
         // Phase B: weak direct code assignment — the paper's acceptance
@@ -1405,19 +1106,6 @@ pub fn semiexact_code_ctl(
     io_semiexact_code_ctl(num_states, constraints, &[], k, max_work, ctl)
 }
 
-/// [`semiexact_code_ctl`] with root-subtree parallelism (see
-/// [`pos_equiv_covers_jobs_ctl`] for the determinism guarantee).
-pub fn semiexact_code_jobs_ctl(
-    num_states: usize,
-    constraints: &[StateSet],
-    k: u32,
-    max_work: u64,
-    jobs: usize,
-    ctl: &RunCtl,
-) -> Result<Option<Embedding>, Cancelled> {
-    io_semiexact_code_jobs_ctl(num_states, constraints, &[], k, max_work, jobs, ctl)
-}
-
 /// `io_semiexact_code` (Section VI-6.2.1): `semiexact_code` with an added
 /// mechanism rejecting face assignments that violate an active output
 /// covering relation.
@@ -1449,27 +1137,12 @@ pub fn io_semiexact_code_ctl(
     max_work: u64,
     ctl: &RunCtl,
 ) -> Result<Option<Embedding>, Cancelled> {
-    io_semiexact_code_jobs_ctl(num_states, constraints, covers, k, max_work, 1, ctl)
-}
-
-/// [`io_semiexact_code_ctl`] with root-subtree parallelism (see
-/// [`pos_equiv_covers_jobs_ctl`] for the determinism guarantee).
-#[allow(clippy::too_many_arguments)]
-pub fn io_semiexact_code_jobs_ctl(
-    num_states: usize,
-    constraints: &[StateSet],
-    covers: &[(usize, usize)],
-    k: u32,
-    max_work: u64,
-    jobs: usize,
-    ctl: &RunCtl,
-) -> Result<Option<Embedding>, Cancelled> {
     let ig = InputGraph::build(num_states, constraints);
     let no_levels = BTreeMap::new();
-    let (outcome, _) = pos_equiv_run(&ig, k, &no_levels, covers, Some(max_work), true, jobs, ctl);
+    let (outcome, _) = pos_equiv_run(&ig, k, &no_levels, covers, Some(max_work), true, ctl);
     match outcome {
         EmbedOutcome::Found(e) => Ok(Some(e)),
-        EmbedOutcome::Cancelled | EmbedOutcome::Preempted => Err(Cancelled),
+        EmbedOutcome::Cancelled => Err(Cancelled),
         _ => Ok(None),
     }
 }
@@ -1617,50 +1290,6 @@ mod tests {
         // Generous budget: solves.
         let r = semiexact_code(7, &ig_constraints, 4, 2_000_000);
         assert!(r.is_some());
-    }
-
-    #[test]
-    fn parallel_embedding_matches_sequential() {
-        // The parallel root-subtree search must return bit-identical results
-        // for any job count, including under a local work budget.
-        let ig = InputGraph::build(7, &paper_ic());
-        let levels = BTreeMap::new();
-        let ctl = RunCtl::unlimited();
-        let seq = pos_equiv_covers_jobs_ctl(&ig, 4, &levels, &[], Some(2_000_000), 1, &ctl);
-        for jobs in [2, 4] {
-            let par = pos_equiv_covers_jobs_ctl(&ig, 4, &levels, &[], Some(2_000_000), jobs, &ctl);
-            match (&seq, &par) {
-                (PosEquiv::Found(a), PosEquiv::Found(b)) => {
-                    assert_eq!(a.codes, b.codes, "jobs={jobs}");
-                    assert_eq!(a.bits, b.bits);
-                    assert_eq!(a.faces, b.faces);
-                }
-                other => panic!("outcome mismatch at jobs={jobs}: {other:?}"),
-            }
-        }
-        // A budget too small to finish must abort identically.
-        let seq = pos_equiv_covers_jobs_ctl(&ig, 4, &levels, &[], Some(3), 1, &ctl);
-        let par = pos_equiv_covers_jobs_ctl(&ig, 4, &levels, &[], Some(3), 4, &ctl);
-        assert!(
-            matches!((&seq, &par), (PosEquiv::Aborted, PosEquiv::Aborted)),
-            "both abort under a tiny budget: {seq:?} vs {par:?}"
-        );
-    }
-
-    #[test]
-    fn iexact_jobs_matches_default() {
-        let ig = InputGraph::build(7, &paper_ic());
-        let base = iexact_code(&ig, ExactOptions::default()).expect("solvable");
-        let jobs = iexact_code(
-            &ig,
-            ExactOptions {
-                embed_jobs: 4,
-                ..ExactOptions::default()
-            },
-        )
-        .expect("solvable");
-        assert_eq!(base.bits, jobs.bits);
-        assert_eq!(base.codes, jobs.codes);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! IV-4.2, Proposition 4.2.1) up to the requested code length.
 
 use crate::constraint::{InputConstraints, StateSet, WeightedConstraint};
-use crate::exact::{constraint_satisfied, min_code_length, semiexact_code_jobs_ctl};
+use crate::exact::{constraint_satisfied, min_code_length, semiexact_code_ctl};
 use espresso::{Cancelled, RunCtl};
 use fsm::Encoding;
 
@@ -14,9 +14,8 @@ pub struct HybridOptions {
     /// The `max_work` bound on each `semiexact_code` call (the paper's
     /// "magic number", Section IV-4.1).
     pub max_work: u64,
-    /// Worker threads for the embedding search's root-subtree parallelism
-    /// (`0` = one per core, `1` = sequential; results are identical either
-    /// way whenever no deadline fires).
+    /// Ignored: the embedding search always runs on the calling thread.
+    /// Kept until the benchmark harness drops its uses.
     pub embed_jobs: usize,
 }
 
@@ -189,8 +188,7 @@ pub fn ihybrid_code_ctl(
     for &c in &ics.constraints {
         let mut attempt: Vec<StateSet> = sic.iter().map(|w| w.set).collect();
         attempt.push(c.set);
-        match semiexact_code_jobs_ctl(n, &attempt, min_length, opts.max_work, opts.embed_jobs, ctl)?
-        {
+        match semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
             Some(embedding) => {
                 offer_snapshot(
                     ctl,
@@ -210,7 +208,7 @@ pub fn ihybrid_code_ctl(
     // codes as a last resort.
     let mut codes = match codes {
         Some(c) => c,
-        None => semiexact_code_jobs_ctl(n, &[], min_length, opts.max_work, opts.embed_jobs, ctl)?
+        None => semiexact_code_ctl(n, &[], min_length, opts.max_work, ctl)?
             .map(|e| e.codes)
             .unwrap_or_else(|| (0..n as u64).collect()),
     };

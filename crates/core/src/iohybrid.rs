@@ -5,7 +5,7 @@
 use crate::constraint::InputConstraints;
 use crate::constraint::{StateSet, WeightedConstraint};
 use crate::exact::{
-    constraint_satisfied, io_semiexact_code_jobs_ctl, min_code_length, semiexact_code_jobs_ctl,
+    constraint_satisfied, io_semiexact_code_ctl, min_code_length, semiexact_code_ctl,
 };
 use crate::hybrid::{project_code, HybridOptions, HybridOutcome};
 use crate::symbolic_min::{OutputCluster, SymbolicMin};
@@ -274,9 +274,7 @@ fn io_encode_ctl(
     for c in &stage1_constraints {
         let mut attempt = sic.clone();
         attempt.push(c.set);
-        if let Some(e) =
-            semiexact_code_jobs_ctl(n, &attempt, min_length, opts.max_work, opts.embed_jobs, ctl)?
-        {
+        if let Some(e) = semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
             codes = Some(e.codes);
             sic.push(c.set);
         }
@@ -300,15 +298,9 @@ fn io_encode_ctl(
                 }
             }
         }
-        if let Some(e) = io_semiexact_code_jobs_ctl(
-            n,
-            &attempt,
-            &covers,
-            min_length,
-            opts.max_work,
-            opts.embed_jobs,
-            ctl,
-        )? {
+        if let Some(e) =
+            io_semiexact_code_ctl(n, &attempt, &covers, min_length, opts.max_work, ctl)?
+        {
             codes = Some(e.codes);
             soc = covers;
             sic = attempt;
@@ -317,7 +309,7 @@ fn io_encode_ctl(
 
     let mut codes = match codes {
         Some(c) => c,
-        None => semiexact_code_jobs_ctl(n, &[], min_length, opts.max_work, opts.embed_jobs, ctl)?
+        None => semiexact_code_ctl(n, &[], min_length, opts.max_work, ctl)?
             .map(|e| e.codes)
             .unwrap_or_else(|| (0..n as u64).collect()),
     };

@@ -14,10 +14,10 @@
 //!   cursor hands out contiguous index ranges; each worker keeps its shard
 //!   in a private deque, pops from the front, and — when both its deque and
 //!   the cursor are exhausted — steals the back half of a sibling's deque.
-//!   Whole portfolios run per worker (inner algorithm/embed/espresso
-//!   parallelism is forced sequential when `batch_jobs > 1`, so the thread
-//!   count is exactly `batch_jobs` and the thread-local scratch pools are
-//!   reused across every machine a worker touches).
+//!   Whole portfolios run per worker (the portfolio's algorithm workers are
+//!   forced to one when `batch_jobs > 1`, so the thread count is exactly
+//!   `batch_jobs` and the thread-local scratch pools are reused across
+//!   every machine a worker touches).
 //! * **Deterministic, bounded, in-order emission**: completed reports enter
 //!   a reorder buffer and are handed to the sink strictly in machine-index
 //!   order. The buffer is capped at `window` reports; a worker about to run
@@ -161,7 +161,7 @@ impl MachineSource for ScaleSpec {
 pub struct BatchConfig {
     /// Worker threads sweeping machines; `0` = available parallelism. Each
     /// worker runs whole portfolios, so this is also the total thread count
-    /// when it exceeds 1 (inner parallelism is forced sequential).
+    /// when it exceeds 1 (portfolio `jobs` is forced to 1).
     pub batch_jobs: usize,
     /// Machines per claimed shard; `0` = auto (corpus size over
     /// `8 × workers`, clamped to `1..=64`). Larger shards amortize cursor
@@ -211,9 +211,7 @@ impl BatchConfig {
         if self.batch_jobs > 0 {
             self.batch_jobs
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            fsm::cpus()
         }
     }
 
@@ -346,16 +344,14 @@ pub fn run_batch_resumable(
     let num_shards = len.div_ceil(shard);
     let tracer = &cfg.tracer;
 
-    // Whole portfolios per worker: with more than one batch worker the
-    // inner pools go sequential so the sweep runs exactly `workers` threads
-    // and every per-thread scratch pool is reused machine after machine.
-    // Content is unaffected by construction (the engine's determinism
-    // contracts across jobs / embed_jobs / espresso_jobs).
+    // Whole portfolios per worker: with more than one batch worker each
+    // portfolio runs its algorithms on the worker's own thread, so the sweep
+    // runs exactly `workers` threads and every per-thread scratch pool is
+    // reused machine after machine. Content is unaffected by construction
+    // (the engine's determinism contract across `jobs`).
     let inner = if workers > 1 {
         EngineConfig {
             jobs: 1,
-            embed_jobs: 1,
-            espresso_jobs: 1,
             ..cfg.clone()
         }
     } else {

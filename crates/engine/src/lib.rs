@@ -44,7 +44,7 @@ pub use journal::{JournalReplay, JournalWriter};
 use espresso::{FaultPlan, RunCounters, RunCtl};
 use fsm::Fsm;
 use nova_core::driver::{
-    run_traced_shared_jobs, Algorithm, Degradation, EvalResult, RunStatus, StageCell, StageTimes,
+    run_traced_shared, Algorithm, Degradation, EvalResult, RunStatus, StageCell, StageTimes,
 };
 use nova_trace::json::Json;
 use nova_trace::{MetricsSnapshot, Tracer};
@@ -68,15 +68,11 @@ pub struct EngineConfig {
     pub node_budget: Option<u64>,
     /// Code-length override passed to the algorithms that accept one.
     pub target_bits: Option<u32>,
-    /// Worker threads for the embedding search inside each algorithm run
-    /// (`0` = one per core, `1` = sequential). Encodings are identical
-    /// across values whenever no deadline fires mid-search.
+    /// Ignored: each algorithm run embeds on its own thread. Kept until the
+    /// benchmark harness drops its uses.
     pub embed_jobs: usize,
-    /// Worker threads for the ESPRESSO unate-recursion branch fan-out
-    /// (`0` = one per core, `1` = sequential). Results are bit-identical
-    /// across values: parallel branches write disjoint slots stitched in
-    /// branch order, and the kernels never touch the run budget. Forced
-    /// sequential when a fault plan is armed, as belt and braces.
+    /// Ignored: each algorithm run minimizes on its own thread. Kept until
+    /// the benchmark harness drops its uses.
     pub espresso_jobs: usize,
     /// Session tracer. Each algorithm run gets a [`Tracer::fork`] of it
     /// (shared clock and trace file, separate per-run metrics). Defaults to
@@ -85,8 +81,7 @@ pub struct EngineConfig {
     pub tracer: Tracer,
     /// Deterministic fault plan armed on every per-algorithm [`RunCtl`]
     /// (nova-chaos). `None` — the default — costs one `OnceLock` load per
-    /// charge; `Some` forces sequential embedding so replays are
-    /// byte-identical.
+    /// charge.
     pub fault_plan: Option<FaultPlan>,
     /// Optional shared stop flag attached to every per-algorithm
     /// [`RunCtl`]: a supervisor (the batch watchdog) that sets it cancels
@@ -120,9 +115,7 @@ impl EngineConfig {
         if self.jobs > 0 {
             self.jobs
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            fsm::cpus()
         }
     }
 }
@@ -488,16 +481,7 @@ fn run_one_under(
         ctl.arm_faults(plan);
     }
     run_contained(algorithm, &ctl, &tracer, |ctl, cell| {
-        run_traced_shared_jobs(
-            fsm,
-            algorithm,
-            cfg.target_bits,
-            cfg.embed_jobs,
-            cfg.espresso_jobs,
-            ctl,
-            cell,
-        )
-        .status
+        run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell).status
     })
 }
 
@@ -928,8 +912,6 @@ mod tests {
         // the ESPRESSO pool the first one warmed.
         let cfg = EngineConfig {
             jobs: 1,
-            embed_jobs: 1,
-            espresso_jobs: 1,
             tracer: Tracer::enabled(),
             ..EngineConfig::default()
         };

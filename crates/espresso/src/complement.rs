@@ -11,10 +11,8 @@ use crate::containment::absorb_matrix;
 use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, SIG_EXACT_VARS};
-use crate::parallel::{self, DisjointSlots};
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
-use crate::tautology::PAR_MIN_ROWS;
 
 /// Complement of a single cube: one result cube per non-full variable,
 /// full everywhere except that variable, where it admits exactly the parts
@@ -136,54 +134,19 @@ fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut
     // complement(F) = ⋃_p [ (v = p) ∧ complement(F cofactored at v = p) ]
     let level_start = out.len();
     let parts = space.parts(v);
-    let jobs = parallel::ambient_jobs();
-    if jobs > 1 && parts >= 2 && m.len() >= PAR_MIN_ROWS {
-        // Each branch complements into a private matrix; the slots are
-        // stitched back in part order, so the merged suffix is bit-identical
-        // to the sequential append order no matter how the branches raced.
-        let mut outs = s.acquire_matrix_list();
-        for _ in 0..parts {
-            outs.push(s.acquire(space));
-        }
-        {
-            let mr: &CubeMatrix = m;
-            let slots = DisjointSlots::new(&mut outs);
-            parallel::run_tasks(jobs, parts as usize, s, &|p, ts| {
-                // SAFETY: task index == slot index, each claimed once.
-                let o = unsafe { slots.get(p) };
-                let mut branch = ts.acquire(space);
-                for i in 0..mr.len() {
-                    if mr.row_has_part(space, i, v, p as u32) {
-                        branch.push_var_full_from(space, mr.row(i), v, mr.sig(i));
-                    }
-                }
-                comp_mat(space, &mut branch, o, ts);
-                ts.release(branch);
-                // Restrict the branch complement to v = p.
-                for i in 0..o.len() {
-                    o.restrict_var_to_part(space, i, v, p as u32);
-                }
-            });
-        }
-        for o in &outs {
-            out.append_from(o);
-        }
-        s.release_matrix_list(outs);
-    } else {
-        for p in 0..parts {
-            let mut branch = s.acquire(space);
-            for i in 0..m.len() {
-                if m.row_has_part(space, i, v, p) {
-                    branch.push_var_full_from(space, m.row(i), v, m.sig(i));
-                }
+    for p in 0..parts {
+        let mut branch = s.acquire(space);
+        for i in 0..m.len() {
+            if m.row_has_part(space, i, v, p) {
+                branch.push_var_full_from(space, m.row(i), v, m.sig(i));
             }
-            let mark = out.len();
-            comp_mat(space, &mut branch, out, s);
-            s.release(branch);
-            // Restrict the branch complement to v = p.
-            for i in mark..out.len() {
-                out.restrict_var_to_part(space, i, v, p);
-            }
+        }
+        let mark = out.len();
+        comp_mat(space, &mut branch, out, s);
+        s.release(branch);
+        // Restrict the branch complement to v = p.
+        for i in mark..out.len() {
+            out.restrict_var_to_part(space, i, v, p);
         }
     }
 

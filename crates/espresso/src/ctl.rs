@@ -372,13 +372,6 @@ impl RunCtl {
         self.inner.stop.load(Ordering::Relaxed) || self.external_stopped()
     }
 
-    /// Does this handle carry a finite node budget? Deterministic consumers
-    /// (the embedding search) fall back to sequential execution when it
-    /// does, so fuel is drained in a reproducible order.
-    pub fn has_fuel_limit(&self) -> bool {
-        self.inner.fuel.load(Ordering::Relaxed) != u64::MAX
-    }
-
     /// Arms `plan` on this handle: every subsequent charge/counter call is
     /// one observed operation, and the plan's points fire at their scheduled
     /// operations. A handle can be armed at most once; later calls are
@@ -390,14 +383,6 @@ impl RunCtl {
     /// Is a fault plan armed on this handle?
     pub fn fault_armed(&self) -> bool {
         self.inner.fault.get().is_some()
-    }
-
-    /// Must consumers with optional parallelism run sequentially so this
-    /// run replays deterministically? True for fuel-limited handles (fuel
-    /// drains in trial order) and fault-armed handles (operation counts
-    /// must be thread-independent).
-    pub fn requires_determinism(&self) -> bool {
-        self.has_fuel_limit() || self.fault_armed()
     }
 
     /// Announces the active pipeline stage (the driver calls this at each
@@ -685,15 +670,6 @@ mod tests {
         ctl.count_espresso_iteration();
         ctl.count_backtrack(); // third op fires
         assert!(ctl.cancelled());
-    }
-
-    #[test]
-    fn determinism_required_when_armed_or_fuel_limited() {
-        let plain = RunCtl::unlimited();
-        assert!(!plain.requires_determinism());
-        plain.arm_faults(&FaultPlan::single("*", 1, FaultKind::Cancel));
-        assert!(plain.requires_determinism());
-        assert!(RunCtl::with_limits(Some(5), None).requires_determinism());
     }
 
     #[test]

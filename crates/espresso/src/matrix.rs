@@ -303,15 +303,6 @@ impl CubeMatrix {
         self.push_row(space, space.full_words());
     }
 
-    /// Appends every row of `other` (same stride), reusing its already
-    /// computed signatures — the stitch step when parallel branches write
-    /// into private matrices that are merged back in branch order.
-    pub fn append_from(&mut self, other: &CubeMatrix) {
-        debug_assert_eq!(self.stride, other.stride);
-        self.words.extend_from_slice(&other.words);
-        self.sigs.extend_from_slice(&other.sigs);
-    }
-
     /// Appends `words` with variable `v`'s field raised to full (the
     /// branch-building step of the unate recursion).
     pub fn push_var_full(&mut self, space: &CubeSpace, words: &[u64], v: usize) {

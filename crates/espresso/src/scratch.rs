@@ -56,7 +56,6 @@ pub struct Scratch {
     free_flags: Vec<Vec<bool>>,
     free_counts: Vec<Vec<u32>>,
     free_words: Vec<Vec<u64>>,
-    free_matrix_lists: Vec<Vec<CubeMatrix>>,
     live: u64,
     stats: ScratchStats,
 }
@@ -127,21 +126,6 @@ impl Scratch {
     /// Returns a word buffer to the pool.
     pub fn release_words(&mut self, w: Vec<u64>) {
         self.free_words.push(w);
-    }
-
-    /// Hands out an empty `Vec<CubeMatrix>` container (per-branch output
-    /// slots for parallel dispatch), reusing released capacity.
-    pub fn acquire_matrix_list(&mut self) -> Vec<CubeMatrix> {
-        self.free_matrix_lists.pop().unwrap_or_default()
-    }
-
-    /// Returns a matrix container to the pool, recycling any matrices still
-    /// inside it into the matrix pool.
-    pub fn release_matrix_list(&mut self, mut l: Vec<CubeMatrix>) {
-        for m in l.drain(..) {
-            self.release(m);
-        }
-        self.free_matrix_lists.push(l);
     }
 
     /// Snapshot of the pool's statistics.

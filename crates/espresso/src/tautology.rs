@@ -16,14 +16,8 @@ use crate::containment::{absorb_matrix, any_row_contains};
 use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, Sig, SIG_EXACT_VARS};
-use crate::parallel;
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Minimum rows before a branch fan-out is dispatched to the worker pool;
-/// below this the per-dispatch synchronization dwarfs the branch work.
-pub(crate) const PAR_MIN_ROWS: usize = 48;
 
 /// Is the cover a tautology (covers every minterm of its space)?
 ///
@@ -170,31 +164,7 @@ pub(crate) fn taut_mat(space: &CubeSpace, m: &mut CubeMatrix, s: &mut Scratch) -
         };
 
         // Branch over every part of v: all cofactors must be tautologies.
-        // The conjunction is order-free, so the branches may race across the
-        // worker pool; the failed flag only skips work whose outcome cannot
-        // change the (already false) answer.
         let parts = space.parts(v);
-        let jobs = parallel::ambient_jobs();
-        if jobs > 1 && parts >= 2 && m.len() >= PAR_MIN_ROWS {
-            let mr: &CubeMatrix = m;
-            let failed = AtomicBool::new(false);
-            parallel::run_tasks(jobs, parts as usize, s, &|p, ts| {
-                if failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let mut branch = ts.acquire(space);
-                for i in 0..mr.len() {
-                    if mr.row_has_part(space, i, v, p as u32) {
-                        branch.push_var_full_from(space, mr.row(i), v, mr.sig(i));
-                    }
-                }
-                if !taut_mat(space, &mut branch, ts) {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                ts.release(branch);
-            });
-            return !failed.load(Ordering::Relaxed);
-        }
         for p in 0..parts {
             let mut branch = s.acquire(space);
             for i in 0..m.len() {

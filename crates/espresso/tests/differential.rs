@@ -296,48 +296,6 @@ fn saturated_signature_window_stays_exact_beyond_127_vars() {
 }
 
 #[test]
-fn espresso_jobs_results_are_byte_identical() {
-    // The PR 4 embed-jobs divergence gate, mirrored for --espresso-jobs:
-    // any worker count must produce byte-identical covers, both at the
-    // kernel level (ambient jobs) and through the MinimizeOptions knob.
-    let mut rng = SplitMix64::new(0x9a11_e701);
-    let space = CubeSpace::binary_with_output(6, 3);
-    for _ in 0..5 {
-        let f = random_cover(&mut rng, &space, 80);
-        let seq_c = complement(&f);
-        let par_c = espresso::with_ambient_jobs(4, || complement(&f));
-        assert_eq!(seq_c.cubes(), par_c.cubes(), "complement diverged on {f:?}");
-        let seq_t = tautology(&f);
-        let par_t = espresso::with_ambient_jobs(4, || tautology(&f));
-        assert_eq!(seq_t, par_t, "tautology diverged on {f:?}");
-    }
-    for _ in 0..3 {
-        let f = random_cover(&mut rng, &space, 40);
-        let d = random_cover(&mut rng, &space, 8);
-        let one = minimize_with(
-            &f,
-            &d,
-            MinimizeOptions {
-                jobs: 1,
-                verify: true,
-                ..MinimizeOptions::default()
-            },
-        );
-        let four = minimize_with(
-            &f,
-            &d,
-            MinimizeOptions {
-                jobs: 4,
-                verify: true,
-                ..MinimizeOptions::default()
-            },
-        );
-        assert_eq!(one.0.cubes(), four.0.cubes(), "minimize diverged on {f:?}");
-        assert_eq!(one.1, four.1, "stats diverged on {f:?}");
-    }
-}
-
-#[test]
 fn minimize_still_satisfies_contract_on_larger_random_covers() {
     // Not a differential check (legacy would be slow here): property-test the
     // ESPRESSO contract itself on bigger instances that stress the arena

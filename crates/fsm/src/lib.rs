@@ -52,3 +52,9 @@ pub use generator::ScaleSpec;
 pub use machine::{Fsm, FsmError, ParseKissError, StateId, Transition, Trit};
 pub use rng::SplitMix64;
 pub use symbolic::{symbolic_cover, SymbolicCover};
+
+/// The machine's available parallelism, or 1 when it cannot be queried.
+/// Every `0 = one per core` worker count in the workspace resolves here.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

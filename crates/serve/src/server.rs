@@ -111,9 +111,7 @@ impl ServerConfig {
         if self.workers > 0 {
             self.workers
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            fsm::cpus()
         }
     }
 }

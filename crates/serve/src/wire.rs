@@ -8,7 +8,7 @@
 //!   and re-parsing KISS).
 //! * The **options** arrive as query parameters and map one-to-one onto
 //!   [`nova_engine::EngineConfig`]: `algorithms`, `bits`, `budget`,
-//!   `timeout_ms`, `jobs`, `embed_jobs`, `espresso_jobs`, `fault_plan`.
+//!   `timeout_ms`, `jobs`, `fault_plan`. Any other key is rejected.
 //! * The **cache key** is the canonical serialization of everything that
 //!   determines the deterministic part of the result: the machine
 //!   fingerprint plus every result-affecting option. Wall-clock options
@@ -37,13 +37,8 @@ pub struct EncodeOptions {
     /// Wall-clock deadline for the whole request (`timeout_ms=N`).
     pub timeout_ms: Option<u64>,
     /// Engine worker threads for this request (`jobs=N`, 0 = all cores).
+    /// Results are identical at any value, so it is not in the cache key.
     pub jobs: usize,
-    /// Embedding subtree workers (`embed_jobs=N`).
-    pub embed_jobs: usize,
-    /// ESPRESSO unate-recursion branch workers (`espresso_jobs=N`). Results
-    /// are bit-identical across values, so this knob is excluded from the
-    /// cache key: a cached report answers any `espresso_jobs`.
-    pub espresso_jobs: usize,
     /// Deterministic fault plan (`fault_plan=SPEC`, nova-chaos). Requests
     /// carrying one are never cached.
     pub fault_plan: Option<FaultPlan>,
@@ -57,8 +52,6 @@ impl Default for EncodeOptions {
             budget: None,
             timeout_ms: None,
             jobs: 0,
-            embed_jobs: 0,
-            espresso_jobs: 0,
             fault_plan: None,
         }
     }
@@ -104,8 +97,6 @@ impl EncodeOptions {
                 "budget" => out.budget = Some(v.parse().map_err(|_| bad(k, v))?),
                 "timeout_ms" => out.timeout_ms = Some(v.parse().map_err(|_| bad(k, v))?),
                 "jobs" => out.jobs = v.parse().map_err(|_| bad(k, v))?,
-                "embed_jobs" => out.embed_jobs = v.parse().map_err(|_| bad(k, v))?,
-                "espresso_jobs" => out.espresso_jobs = v.parse().map_err(|_| bad(k, v))?,
                 "fault_plan" => {
                     out.fault_plan =
                         Some(FaultPlan::parse(v).map_err(|e| BadOption(format!("{k}={v}: {e}")))?)
@@ -121,17 +112,15 @@ impl EncodeOptions {
 
     /// The canonical cache key for this machine/options pair. Covers the
     /// machine fingerprint and every deterministic result-affecting option;
-    /// excludes wall-clock-only options (see module docs) and
-    /// `espresso_jobs` (bit-identical results at any value, so a cached
-    /// report answers all of them).
+    /// excludes wall-clock-only options (see module docs) and `jobs`
+    /// (identical results at any value).
     pub fn cache_key(&self, machine_fingerprint: &str) -> String {
         let algs: Vec<&str> = self.algorithms.iter().map(|a| a.name()).collect();
         format!(
-            "v1|fp={machine_fingerprint}|algs={}|bits={}|budget={}|embed_jobs={}",
+            "v1|fp={machine_fingerprint}|algs={}|bits={}|budget={}",
             algs.join(","),
             self.bits.map_or("-".to_string(), |b| b.to_string()),
             self.budget.map_or("-".to_string(), |b| b.to_string()),
-            self.embed_jobs,
         )
     }
 
@@ -151,11 +140,9 @@ impl EncodeOptions {
             timeout: self.timeout_ms.map(Duration::from_millis),
             node_budget: self.budget,
             target_bits: self.bits,
-            embed_jobs: self.embed_jobs,
-            espresso_jobs: self.espresso_jobs,
             tracer: tracer.clone(),
             fault_plan: self.fault_plan.clone(),
-            stop: None,
+            ..EngineConfig::default()
         }
     }
 
@@ -181,12 +168,6 @@ impl EncodeOptions {
         }
         if self.jobs != 0 {
             parts.push(format!("jobs={}", self.jobs));
-        }
-        if self.embed_jobs != 0 {
-            parts.push(format!("embed_jobs={}", self.embed_jobs));
-        }
-        if self.espresso_jobs != 0 {
-            parts.push(format!("espresso_jobs={}", self.espresso_jobs));
         }
         if let Some(p) = &self.fault_plan {
             parts.push(format!(
@@ -324,7 +305,7 @@ mod tests {
     #[test]
     fn options_round_trip_through_query_strings() {
         let o = EncodeOptions::from_query(&pairs(
-            "algorithms=ihybrid,igreedy&bits=4&budget=1000&timeout_ms=500&jobs=2&embed_jobs=1&espresso_jobs=3",
+            "algorithms=ihybrid,igreedy&bits=4&budget=1000&timeout_ms=500&jobs=2",
         ))
         .unwrap();
         assert_eq!(o.algorithms, vec![Algorithm::IHybrid, Algorithm::IGreedy]);
@@ -332,11 +313,16 @@ mod tests {
             (o.bits, o.budget, o.timeout_ms),
             (Some(4), Some(1000), Some(500))
         );
-        assert_eq!(o.espresso_jobs, 3);
+        assert_eq!(o.jobs, 2);
         let again = EncodeOptions::from_query(&pairs(&o.to_query())).unwrap();
         assert_eq!(again.cache_key("fp"), o.cache_key("fp"));
         assert_eq!(again.timeout_ms, o.timeout_ms);
-        assert_eq!(again.espresso_jobs, o.espresso_jobs);
+        assert_eq!(again.jobs, o.jobs);
+        // The inner worker knobs are gone: they are unknown keys now.
+        for q in ["embed_jobs=1", "espresso_jobs=3"] {
+            let err = EncodeOptions::from_query(&pairs(q)).unwrap_err();
+            assert_eq!(err.0, q);
+        }
     }
 
     #[test]
@@ -359,11 +345,11 @@ mod tests {
         let budgeted = EncodeOptions::from_query(&pairs("algorithms=ihybrid&budget=5")).unwrap();
         assert_ne!(base.cache_key("fp"), budgeted.cache_key("fp"));
         assert_ne!(base.cache_key("fp"), base.cache_key("other"));
-        let par = EncodeOptions::from_query(&pairs("algorithms=ihybrid&espresso_jobs=4")).unwrap();
+        let par = EncodeOptions::from_query(&pairs("algorithms=ihybrid&jobs=4")).unwrap();
         assert_eq!(
             base.cache_key("fp"),
             par.cache_key("fp"),
-            "espresso_jobs excluded: results are bit-identical at any value"
+            "jobs excluded: results are identical at any value"
         );
     }
 

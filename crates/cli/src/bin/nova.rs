@@ -712,46 +712,45 @@ fn bench_main(argv: &[String]) -> ExitCode {
         nova_engine::MachineClass::Degraded => tally.degraded += 1,
         nova_engine::MachineClass::Unresolved => tally.unresolved += 1,
     };
-    let report = nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i,
-                                                                                     rep,
-                                                                                     q| {
-        // Interleave replayed lines: everything the journal completed below
-        // this fresh index goes out first, keeping machine-index order.
-        while pending_replay.front().is_some_and(|m| m.index < i) {
-            let m = pending_replay.pop_front().expect("front checked");
-            bump(&mut tally, m.class);
-            if let Some(w) = &mut sw {
-                if let Err(e) = w.write_raw(&m.line, m.class) {
+    let report =
+        nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i, rep, q| {
+            // Interleave replayed lines: everything the journal completed below
+            // this fresh index goes out first, keeping machine-index order.
+            while pending_replay.front().is_some_and(|m| m.index < i) {
+                let m = pending_replay.pop_front().expect("front checked");
+                bump(&mut tally, m.class);
+                if let Some(w) = &mut sw {
+                    if let Err(e) = w.write_raw(&m.line, m.class) {
+                        stream_err.get_or_insert(e);
+                    }
+                }
+            }
+            let class = nova_engine::MachineClass::of(&rep);
+            bump(&mut tally, class);
+            if deterministic {
+                // Journal first, then stream: a kill between the two replays
+                // the machine as complete and rewrites the same line.
+                let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
+                if let Some(j) = &mut jw {
+                    let fp = fsm::fingerprint(&src.machine(i));
+                    if let Err(e) = j.record(i, &fp, class, &line, q) {
+                        journal_err.get_or_insert(e);
+                    }
+                }
+                if let Some(w) = &mut sw {
+                    if let Err(e) = w.write_raw(&line, class) {
+                        stream_err.get_or_insert(e);
+                    }
+                }
+            } else if let Some(w) = &mut sw {
+                if let Err(e) = w.report(&rep) {
                     stream_err.get_or_insert(e);
                 }
             }
-        }
-        let class = nova_engine::MachineClass::of(&rep);
-        bump(&mut tally, class);
-        if deterministic {
-            // Journal first, then stream: a kill between the two replays
-            // the machine as complete and rewrites the same line.
-            let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
-            if let Some(j) = &mut jw {
-                let fp = fsm::fingerprint(&src.machine(i));
-                if let Err(e) = j.record(i, &fp, class, &line, q) {
-                    journal_err.get_or_insert(e);
-                }
+            if keep {
+                kept.push(rep);
             }
-            if let Some(w) = &mut sw {
-                if let Err(e) = w.write_raw(&line, class) {
-                    stream_err.get_or_insert(e);
-                }
-            }
-        } else if let Some(w) = &mut sw {
-            if let Err(e) = w.report(&rep) {
-                stream_err.get_or_insert(e);
-            }
-        }
-        if keep {
-            kept.push(rep);
-        }
-    });
+        });
     // Replayed machines above the last fresh index.
     while let Some(m) = pending_replay.pop_front() {
         bump(&mut tally, m.class);

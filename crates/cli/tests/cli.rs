@@ -1029,7 +1029,13 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     let (_, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
         &[
-            "bench", "--synthetic", spec, "--stream", "-", "--journal", "-",
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            "-",
+            "--journal",
+            "-",
         ],
         "",
     );

@@ -790,7 +790,10 @@ impl<W: Write> StreamWriter<W> {
     /// into the summary: `quarantined` is always present, and a non-empty
     /// list adds a `quarantine` array (index / machine / attempts /
     /// reason). In deterministic mode the wall-clock fields are omitted.
-    pub fn finish_with(mut self, quarantine: &[QuarantineRecord]) -> io::Result<(StreamTally, f64)> {
+    pub fn finish_with(
+        mut self,
+        quarantine: &[QuarantineRecord],
+    ) -> io::Result<(StreamTally, f64)> {
         let wall = self.start.elapsed();
         let per_sec = throughput(self.count, wall);
         let mut pairs = vec![
@@ -801,10 +804,7 @@ impl<W: Write> StreamWriter<W> {
                 "unresolved".into(),
                 Json::uint(self.tally.unresolved as u64),
             ),
-            (
-                "quarantined".into(),
-                Json::uint(quarantine.len() as u64),
-            ),
+            ("quarantined".into(), Json::uint(quarantine.len() as u64)),
         ];
         if !quarantine.is_empty() {
             pairs.push((

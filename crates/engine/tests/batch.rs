@@ -295,7 +295,12 @@ fn always_crashing_machines_are_retried_then_quarantined() {
 
 #[test]
 fn healthy_machines_never_touch_the_supervision_ladder() {
-    let report = run_batch(&corpus(), &config(), &BatchConfig::default(), &mut |_, _| {});
+    let report = run_batch(
+        &corpus(),
+        &config(),
+        &BatchConfig::default(),
+        &mut |_, _| {},
+    );
     assert_eq!(report.machines, 16);
     assert_eq!(report.retries, 0);
     assert!(report.quarantined.is_empty());
@@ -330,7 +335,11 @@ fn watchdog_cancels_stuck_runs_into_degraded_results() {
         .find(|(n, _)| n == "engine.batch.watchdog.cancel")
         .map(|(_, v)| *v)
         .unwrap_or(0);
-    assert!(cancels >= 1, "watchdog never fired; counters: {:?}", snap.counters);
+    assert!(
+        cancels >= 1,
+        "watchdog never fired; counters: {:?}",
+        snap.counters
+    );
 }
 
 #[test]
@@ -360,7 +369,10 @@ fn resumable_sweep_skips_completed_machines_and_keeps_order() {
         .filter(|(i, _, _)| !completed.contains(i))
         .cloned()
         .collect();
-    assert_eq!(got, expect, "resumed remainder diverged from the full sweep");
+    assert_eq!(
+        got, expect,
+        "resumed remainder diverged from the full sweep"
+    );
 }
 
 #[test]

@@ -526,7 +526,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // large machines would otherwise force the cache LRU to thrash.
     let body_bytes = req.body.len() as u64;
     let budget = shared.cfg.max_inflight_bytes;
-    let reserved = shared.inflight_bytes.fetch_add(body_bytes, Ordering::Relaxed) + body_bytes;
+    let reserved = shared
+        .inflight_bytes
+        .fetch_add(body_bytes, Ordering::Relaxed)
+        + body_bytes;
     let _inflight = InflightReservation {
         shared,
         bytes: body_bytes,
@@ -575,7 +578,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // frozen bytes is safe even with a poisoned engine pool.
     match shared.breaker.admit(Instant::now()) {
         Admission::Reject { retry_after_secs } => {
-            shared.stats.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .breaker_rejected
+                .fetch_add(1, Ordering::Relaxed);
             tracer.incr("serve.breaker.reject", 1);
             return error_response(503, "engine circuit breaker is open")
                 .with_header("Retry-After", retry_after_secs.to_string());
@@ -767,7 +773,10 @@ fn counters_json(shared: &Shared) -> Json {
         (
             "engine".into(),
             Json::Obj(vec![
-                ("runs".into(), Json::uint(s.engine_runs.load(Ordering::Relaxed))),
+                (
+                    "runs".into(),
+                    Json::uint(s.engine_runs.load(Ordering::Relaxed)),
+                ),
                 (
                     "failures".into(),
                     Json::uint(s.engine_failures.load(Ordering::Relaxed)),

@@ -11,7 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use espresso::expand::expand;
-use espresso::factor::output_expr;
+use espresso::factor::{cover_factored_literals, output_expr};
+use espresso::reduce::reduce;
 use espresso::{
     complement, containment, cube_in_cover, legacy, minimize, tautology, Cover, Cube, CubeSpace,
 };
@@ -50,12 +51,31 @@ fn allocs_of<R>(f: impl FnOnce() -> R) -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
+/// The symbolic cover of `sc` after one EXPAND: the overlapping prime
+/// cover REDUCE sees inside the minimization loop.
+fn expanded(sc: &fsm::SymbolicCover) -> Cover {
+    let mut f = sc.on.clone();
+    expand(&mut f, &sc.dc);
+    f
+}
+
 fn bench_mv_minimize(h: &mut Harness) {
     let mut g = h.group("espresso_mv_minimize");
     g.sample_size(10);
     for name in ["lion", "bbtas", "dk27", "shiftreg", "train11"] {
         let b = fsm::benchmarks::by_name(name).expect("embedded");
         let sc = symbolic_cover(&b.fsm);
+        let primes = expanded(&sc);
+        g.bench(&format!("reduce/{name}"), || {
+            let mut f = primes.clone();
+            reduce(&mut f, &sc.dc);
+            f
+        });
+        g.bench(&format!("reduce_legacy/{name}"), || {
+            let mut f = primes.clone();
+            legacy::reduce(&mut f, &sc.dc);
+            f
+        });
         g.bench(&format!("expand/{name}"), || {
             let mut f = sc.on.clone();
             expand(&mut f, &sc.dc);
@@ -100,6 +120,16 @@ fn bench_kernels(h: &mut Harness) {
     g.bench("quick_factor_bbtas_f0", || {
         espresso::factor::factored_literal_count(&expr)
     });
+    // Every output of the minimized encoded cover, as the driver scores it.
+    for name in ["bbtas", "dk16", "ex1"] {
+        let b = fsm::benchmarks::by_name(name).expect("embedded");
+        let r = nova_core::driver::run(&b.fsm, nova_core::Algorithm::IHybrid, None).expect("runs");
+        let pla = fsm::encode::encode(&b.fsm, &r.encoding);
+        let min = minimize(&pla.on, &pla.dc);
+        g.bench(&format!("factored_literals/{name}"), || {
+            cover_factored_literals(&min)
+        });
+    }
 }
 
 /// A mostly-full random cube (loose in at most 6 variables), the shape the
@@ -152,6 +182,7 @@ fn report_allocations() {
     for name in ["lion", "bbtas", "dk27", "shiftreg", "train11"] {
         let b = fsm::benchmarks::by_name(name).expect("embedded");
         let sc = symbolic_cover(&b.fsm);
+        let primes = expanded(&sc);
         // Warm the thread-local scratch pool so the arena numbers reflect
         // steady state, which is what the minimization loop runs in.
         for _ in 0..3 {
@@ -160,6 +191,8 @@ fn report_allocations() {
             std::hint::black_box(minimize(&sc.on, &sc.dc));
             let mut f = sc.on.clone();
             expand(&mut f, &sc.dc);
+            let mut f = primes.clone();
+            reduce(&mut f, &sc.dc);
         }
         let rows = [
             (
@@ -186,6 +219,19 @@ fn report_allocations() {
                 }),
             ),
             (
+                "reduce",
+                allocs_of(|| {
+                    let mut f = primes.clone();
+                    reduce(&mut f, &sc.dc);
+                    f
+                }),
+                allocs_of(|| {
+                    let mut f = primes.clone();
+                    legacy::reduce(&mut f, &sc.dc);
+                    f
+                }),
+            ),
+            (
                 "minimize",
                 allocs_of(|| minimize(&sc.on, &sc.dc)),
                 allocs_of(|| legacy::minimize(&sc.on, &sc.dc)),
@@ -193,11 +239,14 @@ fn report_allocations() {
         ];
         for (kernel, arena, leg) in rows {
             // The OFF-set EXPAND allocates per cube, never per candidate
-            // raise; legacy builds a cofactor cover per candidate.
-            if kernel == "expand" {
+            // raise; legacy builds a cofactor cover per candidate. REDUCE
+            // draws its cofactor and complement from the scratch pool and
+            // allocates only the reduced cubes; legacy builds a cover per
+            // cube and one per candidate slice.
+            if kernel == "expand" || kernel == "reduce" {
                 assert!(
                     arena < leg,
-                    "steady-state expand/{name} allocates {arena} times per call, \
+                    "steady-state {kernel}/{name} allocates {arena} times per call, \
                      legacy {leg}"
                 );
             }

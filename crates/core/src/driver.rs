@@ -488,7 +488,9 @@ fn run_traced_inner(
         |s| &mut s.espresso,
         || {
             let (min, _) = minimize_with_ctl(&pla.on, &pla.dc, MinimizeOptions::default(), ctl)?;
-            let literals = cover_factored_literals(&min);
+            let literals = ctl
+                .tracer()
+                .scope("espresso.factor", || cover_factored_literals(&min));
             Ok::<_, Cancelled>((min, literals))
         },
     )?;

@@ -89,7 +89,12 @@ pub fn off_set(f: &Cover, d: &Cover, s: &mut Scratch) -> CubeMatrix {
 /// Appends the complement of the cover held in `m` to `out`. `m` is consumed
 /// as work space; `out` rows below the entry length are left untouched, so
 /// recursion levels can share one output arena.
-fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut Scratch) {
+pub(crate) fn comp_mat(
+    space: &CubeSpace,
+    m: &mut CubeMatrix,
+    out: &mut CubeMatrix,
+    s: &mut Scratch,
+) {
     m.drop_degenerate();
     if m.any_row_full(space) {
         return;

@@ -6,9 +6,16 @@
 //! factored form by recursive kernel extraction (the QUICK_FACTOR scheme) and
 //! the number of literals of the factored form is reported. Logic sharing
 //! *across* outputs is not modeled; each output is factored separately.
+//!
+//! An [`Expr`] stores each cube as a bit-packed literal set (literal `l` is
+//! bit `l`) in one flat word arena with a fixed stride, so containment,
+//! common cubes and cube division are word-wise `&` and `!`, at any literal
+//! width. Cubes are kept distinct and sorted by their words, which makes
+//! expression equality a slice comparison and cube membership a binary
+//! search.
 
 use crate::cover::Cover;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 /// A literal of an algebraic expression: `2*var + polarity`
 /// (polarity 1 = positive phase).
@@ -21,66 +28,153 @@ pub fn literal(var: usize, positive: bool) -> Literal {
 
 /// An algebraic (single-output) sum-of-products: a set of cubes, each a set
 /// of literals. Used only for factoring, not for Boolean reasoning.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone)]
 pub struct Expr {
-    cubes: Vec<BTreeSet<Literal>>,
+    /// Words per cube (at least one).
+    stride: usize,
+    /// `len() * stride` words: the cubes, distinct and in ascending order.
+    words: Vec<u64>,
 }
+
+impl Default for Expr {
+    fn default() -> Self {
+        Expr::new()
+    }
+}
+
+/// Two expressions are equal when they hold the same cubes, whatever their
+/// strides (a narrower cube reads as zero-extended).
+impl PartialEq for Expr {
+    fn eq(&self, other: &Self) -> bool {
+        let word = |r: &[u64], k: usize| r.get(k).copied().unwrap_or(0);
+        let n = self.stride.max(other.stride);
+        self.len() == other.len()
+            && self
+                .rows()
+                .zip(other.rows())
+                .all(|(a, b)| (0..n).all(|k| word(a, k) == word(b, k)))
+    }
+}
+
+impl Eq for Expr {}
 
 impl Expr {
     /// Empty expression (constant 0).
     pub fn new() -> Self {
-        Expr::default()
+        Expr {
+            stride: 1,
+            words: Vec::new(),
+        }
     }
 
     /// Builds from cube literal-sets, deduplicating identical cubes.
-    pub fn from_cubes(cubes: impl IntoIterator<Item = BTreeSet<Literal>>) -> Self {
-        let mut v: Vec<BTreeSet<Literal>> = cubes.into_iter().collect();
-        v.sort();
-        v.dedup();
-        Expr { cubes: v }
+    pub fn from_cubes<C: IntoIterator<Item = Literal>>(cubes: impl IntoIterator<Item = C>) -> Self {
+        let cubes: Vec<Vec<Literal>> = cubes.into_iter().map(|c| c.into_iter().collect()).collect();
+        let max = cubes.iter().flatten().max().map_or(0, |&l| l as usize);
+        let stride = max / 64 + 1;
+        let mut words = vec![0u64; cubes.len() * stride];
+        for (row, c) in words.chunks_exact_mut(stride).zip(&cubes) {
+            for &l in c {
+                row[l as usize / 64] |= 1 << (l % 64);
+            }
+        }
+        Expr::canonical(stride, words)
     }
 
-    /// The cubes.
-    pub fn cubes(&self) -> &[BTreeSet<Literal>] {
-        &self.cubes
+    /// An expression from raw rows in any order, possibly repeated: sorts
+    /// them and drops duplicates.
+    fn canonical(stride: usize, words: Vec<u64>) -> Expr {
+        let mut rows: Vec<&[u64]> = words.chunks_exact(stride).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        Expr {
+            stride,
+            words: rows.concat(),
+        }
+    }
+
+    /// An expression from rows already distinct and in ascending order.
+    fn from_sorted<'a>(stride: usize, rows: impl Iterator<Item = &'a [u64]>) -> Expr {
+        Expr {
+            stride,
+            words: rows.flatten().copied().collect(),
+        }
+    }
+
+    fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.stride)
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Whether `row` is one of the cubes (binary search).
+    fn contains_row(&self, row: &[u64]) -> bool {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.row(mid).cmp(row) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// The same cubes at `stride` words each (`stride >= self.stride`).
+    fn widened(&self, stride: usize) -> Expr {
+        let mut words = Vec::with_capacity(self.len() * stride);
+        for r in self.rows() {
+            words.extend_from_slice(r);
+            words.resize(words.len() + stride - self.stride, 0);
+        }
+        Expr { stride, words }
     }
 
     /// Number of cubes.
     pub fn len(&self) -> usize {
-        self.cubes.len()
+        self.words.len() / self.stride
     }
 
     /// True when the expression has no cubes.
     pub fn is_empty(&self) -> bool {
-        self.cubes.is_empty()
+        self.words.is_empty()
     }
 
     /// Flat (two-level) literal count.
     pub fn literal_count(&self) -> usize {
-        self.cubes.iter().map(BTreeSet::len).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The largest cube dividing every cube of the expression.
-    pub fn common_cube(&self) -> BTreeSet<Literal> {
-        let mut it = self.cubes.iter();
-        let mut acc = match it.next() {
-            Some(c) => c.clone(),
-            None => return BTreeSet::new(),
+    fn common_cube(&self) -> Vec<u64> {
+        let mut rows = self.rows();
+        let Some(first) = rows.next() else {
+            return vec![0; self.stride];
         };
-        for c in it {
-            acc = acc.intersection(c).cloned().collect();
+        let mut acc = first.to_vec();
+        for r in rows {
+            for (a, w) in acc.iter_mut().zip(r) {
+                *a &= w;
+            }
         }
         acc
     }
 
     /// Quotient of the expression by a single cube: `{ c ∖ d : d ⊆ c }`.
-    pub fn divide_by_cube(&self, d: &BTreeSet<Literal>) -> Expr {
-        Expr::from_cubes(
-            self.cubes
-                .iter()
-                .filter(|c| d.is_subset(c))
-                .map(|c| c.difference(d).cloned().collect()),
-        )
+    /// Clearing the same bits from distinct cubes that all hold them keeps
+    /// the cubes distinct and in order, so the quotient needs no sort.
+    fn divide_by_cube(&self, d: &[u64]) -> Expr {
+        let mut words = Vec::new();
+        for c in self.rows().filter(|c| holds(c, d)) {
+            words.extend(c.iter().zip(d).map(|(w, x)| w & !x));
+        }
+        Expr {
+            stride: self.stride,
+            words,
+        }
     }
 
     /// Weak (algebraic) division by a multi-cube divisor: returns
@@ -90,37 +184,48 @@ impl Expr {
         if divisor.is_empty() {
             return (Expr::new(), self.clone());
         }
-        let mut quotient: Option<BTreeSet<BTreeSet<Literal>>> = None;
-        for d in &divisor.cubes {
-            let q: BTreeSet<BTreeSet<Literal>> = self.divide_by_cube(d).cubes.into_iter().collect();
-            quotient = Some(match quotient {
-                None => q,
-                Some(acc) => acc.intersection(&q).cloned().collect(),
-            });
-            if quotient.as_ref().is_some_and(BTreeSet::is_empty) {
+        if self.stride != divisor.stride {
+            let stride = self.stride.max(divisor.stride);
+            return self.widened(stride).divide(&divisor.widened(stride));
+        }
+        let mut quotient = self.divide_by_cube(divisor.row(0));
+        for d in divisor.rows().skip(1) {
+            if quotient.is_empty() {
                 break;
             }
+            let q = self.divide_by_cube(d);
+            quotient =
+                Expr::from_sorted(self.stride, quotient.rows().filter(|r| q.contains_row(r)));
         }
-        let quotient = Expr::from_cubes(quotient.unwrap_or_default());
         if quotient.is_empty() {
             return (quotient, self.clone());
         }
-        // remainder = self minus quotient × divisor
-        let mut product: BTreeSet<BTreeSet<Literal>> = BTreeSet::new();
-        for q in &quotient.cubes {
-            for d in &divisor.cubes {
-                product.insert(q.union(d).cloned().collect());
-            }
-        }
-        let remainder =
-            Expr::from_cubes(self.cubes.iter().filter(|c| !product.contains(*c)).cloned());
+        // Every quotient cube is disjoint from every divisor cube (it is
+        // some `c ∖ d`), so `c` is a product cube exactly when some `d ⊆ c`
+        // leaves `c ∖ d` in the quotient.
+        let mut rest = vec![0u64; self.stride];
+        let in_product = |c: &[u64], rest: &mut Vec<u64>| {
+            divisor.rows().any(|d| {
+                if !holds(c, d) {
+                    return false;
+                }
+                for ((x, w), y) in rest.iter_mut().zip(c).zip(d) {
+                    *x = w & !y;
+                }
+                quotient.contains_row(rest)
+            })
+        };
+        let remainder = Expr::from_sorted(
+            self.stride,
+            self.rows().filter(|c| !in_product(c, &mut rest)),
+        );
         (quotient, remainder)
     }
 
     /// Makes the expression cube-free by dividing out its common cube.
     pub fn cube_free(&self) -> Expr {
         let c = self.common_cube();
-        if c.is_empty() {
+        if c.iter().all(|&w| w == 0) {
             self.clone()
         } else {
             self.divide_by_cube(&c)
@@ -136,15 +241,8 @@ impl Expr {
         if base.len() > 1 {
             out.push(base.clone());
         }
-        let max_lit = base
-            .cubes
-            .iter()
-            .flat_map(|c| c.iter())
-            .max()
-            .copied()
-            .unwrap_or(0);
-        kernels_rec(&base, 0, max_lit, &mut out);
-        out.sort_by(|a, b| a.cubes.cmp(&b.cubes));
+        kernels_rec(&base, 0, &mut out);
+        out.sort_by(|a, b| a.words.cmp(&b.words));
         out.dedup();
         out
     }
@@ -160,9 +258,7 @@ impl Expr {
             }
             match most_frequent_literal(&f) {
                 Some((l, count)) if count >= 2 && count < f.len() => {
-                    let mut d = BTreeSet::new();
-                    d.insert(l);
-                    f = f.divide_by_cube(&d).cube_free();
+                    f = f.divide_by_cube(&literal_cube(f.stride, l)).cube_free();
                 }
                 Some((l, count)) if count >= 2 => {
                     // literal common to all cubes would be a common cube;
@@ -176,39 +272,62 @@ impl Expr {
     }
 }
 
-fn kernels_rec(f: &Expr, from: Literal, max_lit: Literal, out: &mut Vec<Expr>) {
-    for l in from..=max_lit {
-        let count = f.cubes.iter().filter(|c| c.contains(&l)).count();
-        if count < 2 {
+/// Whether literal set `c` contains literal set `d`.
+fn holds(c: &[u64], d: &[u64]) -> bool {
+    c.iter().zip(d).all(|(w, x)| w & x == *x)
+}
+
+/// The single-literal cube `{l}` at `stride` words.
+fn literal_cube(stride: usize, l: Literal) -> Vec<u64> {
+    let mut d = vec![0u64; stride];
+    d[l as usize / 64] |= 1 << (l % 64);
+    d
+}
+
+fn has_literal(c: &[u64], l: usize) -> bool {
+    c[l / 64] >> (l % 64) & 1 == 1
+}
+
+fn kernels_rec(f: &Expr, from: usize, out: &mut Vec<Expr>) {
+    for l in from..f.stride * 64 {
+        if f.rows().filter(|c| has_literal(c, l)).count() < 2 {
             continue;
         }
-        let mut d = BTreeSet::new();
-        d.insert(l);
-        let q = f.divide_by_cube(&d);
+        let q = f.divide_by_cube(&literal_cube(f.stride, l as Literal));
         let common = q.common_cube();
         // Skip if a smaller literal in the common cube would re-generate this
         // kernel (standard duplicate pruning).
-        if common.iter().any(|&c| c < l) {
+        let below = (1u64 << (l % 64)) - 1;
+        if common[..l / 64].iter().any(|&w| w != 0) || common[l / 64] & below != 0 {
             continue;
         }
         let k = q.cube_free();
         if k.len() > 1 {
             out.push(k.clone());
-            kernels_rec(&k, l + 1, max_lit, out);
+            kernels_rec(&k, l + 1, out);
         }
     }
 }
 
+/// The literal in the most cubes, ties to the smallest literal, with its
+/// cube count; `None` when no cube has a literal.
 fn most_frequent_literal(f: &Expr) -> Option<(Literal, usize)> {
-    let mut counts: std::collections::BTreeMap<Literal, usize> = Default::default();
-    for c in &f.cubes {
-        for &l in c {
-            *counts.entry(l).or_default() += 1;
+    let mut counts = vec![0usize; f.stride * 64];
+    for c in f.rows() {
+        for (k, &w) in c.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                counts[k * 64 + w.trailing_zeros() as usize] += 1;
+                w &= w - 1;
+            }
         }
     }
     counts
         .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
         .max_by_key(|&(l, n)| (n, std::cmp::Reverse(l)))
+        .map(|(l, n)| (l as Literal, n))
 }
 
 /// Number of literals of the QUICK_FACTOR factored form of the expression.
@@ -234,12 +353,13 @@ pub fn factored_literal_count(f: &Expr) -> usize {
         return 0;
     }
     if f.len() == 1 {
-        return f.cubes[0].len();
+        return f.literal_count();
     }
     // Factor out the common cube first.
     let common = f.common_cube();
-    if !common.is_empty() {
-        return common.len() + factored_literal_count(&f.divide_by_cube(&common));
+    let shared: usize = common.iter().map(|w| w.count_ones() as usize).sum();
+    if shared > 0 {
+        return shared + factored_literal_count(&f.divide_by_cube(&common));
     }
     let Some((best_l, count)) = most_frequent_literal(f) else {
         return 0;
@@ -258,10 +378,9 @@ pub fn factored_literal_count(f: &Expr) -> usize {
         }
     }
     // Fallback: literal division f = l·(f/l) + r.
-    let mut d = BTreeSet::new();
-    d.insert(best_l);
+    let d = literal_cube(f.stride, best_l);
     let q = f.divide_by_cube(&d);
-    let r = Expr::from_cubes(f.cubes.iter().filter(|c| !c.contains(&best_l)).cloned());
+    let r = Expr::from_sorted(f.stride, f.rows().filter(|c| !holds(c, &d)));
     1 + factored_literal_count(&q) + factored_literal_count(&r)
 }
 
@@ -275,26 +394,24 @@ pub fn factored_literal_count(f: &Expr) -> usize {
 pub fn output_expr(cover: &Cover, o: u32) -> Expr {
     let space = cover.space();
     let ov = space.output_var().expect("cover needs an output variable");
-    let mut cubes = Vec::new();
+    let stride = (2 * space.num_vars()).div_ceil(64);
+    let mut words = Vec::new();
     for c in cover.iter() {
         if !c.has_part(space, ov, o) {
             continue;
         }
-        let mut lits = BTreeSet::new();
+        let start = words.len();
+        words.resize(start + stride, 0);
         for v in space.vars() {
             if v == ov || c.var_is_full(space, v) {
                 continue;
             }
             debug_assert_eq!(space.parts(v), 2, "factoring expects binary inputs");
-            if c.has_part(space, v, 1) {
-                lits.insert(literal(v, true));
-            } else {
-                lits.insert(literal(v, false));
-            }
+            let l = literal(v, c.has_part(space, v, 1)) as usize;
+            words[start + l / 64] |= 1 << (l % 64);
         }
-        cubes.push(lits);
     }
-    Expr::from_cubes(cubes)
+    Expr::canonical(stride, words)
 }
 
 /// Total factored-form literal count of a binary multi-output cover: each
@@ -315,7 +432,7 @@ mod tests {
     use super::*;
 
     fn expr(cubes: &[&[Literal]]) -> Expr {
-        Expr::from_cubes(cubes.iter().map(|c| c.iter().copied().collect()))
+        Expr::from_cubes(cubes.iter().map(|c| c.iter().copied()))
     }
 
     const A: Literal = 1; // var0 positive
@@ -328,8 +445,9 @@ mod tests {
     fn division_basics() {
         // f = abc + abd + e; f / ab = c + d, remainder e
         let f = expr(&[&[A, B, C], &[A, B, D], &[E]]);
-        let q = f.divide_by_cube(&BTreeSet::from([A, B]));
+        let (q, r) = f.divide(&expr(&[&[A, B]]));
         assert_eq!(q, expr(&[&[C], &[D]]));
+        assert_eq!(r, expr(&[&[E]]));
         let (qq, r) = f.divide(&expr(&[&[C], &[D]]));
         assert_eq!(qq, expr(&[&[A, B]]));
         assert_eq!(r, expr(&[&[E]]));
@@ -394,7 +512,7 @@ mod tests {
         assert_eq!(e0.len(), 2);
         let e1 = output_expr(&cov, 1);
         assert_eq!(e1.len(), 1);
-        assert_eq!(e1.cubes()[0], BTreeSet::from([literal(0, true)]));
+        assert_eq!(e1, expr(&[&[literal(0, true)]]));
     }
 
     #[test]

@@ -3,109 +3,96 @@
 //! Reducing before a new EXPAND pass lets cubes re-expand in different
 //! directions, escaping local minima of the expand/irredundant loop.
 //!
-//! A part `p` of variable `v` may be lowered in cube `c` exactly when the
-//! slice of `c` at `v = p` is covered by the rest of the cover plus the
-//! don't-care set. The condition is monotone in the shrinking cube, so
-//! looping greedy passes converge to the maximally reduced cube (ESPRESSO's
-//! "smallest cube containing the complement's cofactor").
+//! The minterms only cube `c` covers are `U = c ∖ (rest ∪ D)`, where `rest`
+//! is the rest of the cover. The maximally reduced cube is the smallest
+//! cube containing `U` (ESPRESSO's SCCC), so it is computed in one pass:
+//! the complement of `rest ∪ D` cofactored by `c`, each row intersected
+//! with `c`, and the non-empty rows OR-ed together. When `U` is empty the
+//! cube is covered twice over; each variable then keeps its highest part,
+//! which is what lowering one part at a time (the frozen
+//! [`crate::legacy::reduce`]) leaves, so outputs stay bit-identical.
 //!
-//! The "rest of the cover" oracle is staged in a scratch
-//! [`CubeMatrix`](crate::matrix::CubeMatrix) and candidate slices are built
-//! in a reused word buffer, so the inner loop allocates nothing.
+//! The cofactor, the complement and the OR accumulator are drawn from the
+//! per-thread [`Scratch`] pool, so steady-state REDUCE allocates only the
+//! reduced cubes themselves.
 
+use crate::complement::comp_mat;
 use crate::cover::Cover;
 use crate::cube::Cube;
-use crate::matrix::{CubeMatrix, Sig};
 use crate::scratch::{with_scratch, Scratch};
-use crate::space::CubeSpace;
-use crate::tautology::cube_in_matrix;
 
 /// Reduces every cube of `f` in place against don't-care cover `d`.
 ///
 /// Cubes are processed largest-first (mirroring ESPRESSO, which gives large
 /// cubes the first chance to shed responsibility onto their neighbours).
 pub fn reduce(f: &mut Cover, d: &Cover) {
-    let space = f.space().clone();
     let n = f.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(f.cubes()[i].count_ones()));
 
     with_scratch(|s| {
-        let mut slice_words: Vec<u64> = Vec::with_capacity(space.words());
         for &i in &order {
-            // Oracle: everything except cube i, plus D.
-            let mut rest = s.acquire(&space);
-            for (j, c) in f.iter().enumerate() {
-                if j != i {
-                    rest.push_cube(&space, c);
-                }
-            }
-            rest.extend_cubes(&space, d.iter());
-
-            let mut c = f.cubes()[i].clone();
-            max_reduce(&space, &rest, &mut c, &mut slice_words, s);
-            s.release(rest);
+            let c = max_reduce(f, d, i, s);
             f.cubes_mut()[i] = c;
         }
     });
-}
-
-/// Greedy-to-convergence lowering of `c` against the oracle matrix `rest`.
-fn max_reduce(
-    space: &CubeSpace,
-    rest: &CubeMatrix,
-    c: &mut Cube,
-    slice_words: &mut Vec<u64>,
-    s: &mut Scratch,
-) {
-    loop {
-        let mut changed = false;
-        for v in space.vars() {
-            for p in 0..space.parts(v) {
-                if !c.has_part(space, v, p) || c.var_count(space, v) <= 1 {
-                    continue;
-                }
-                // Slice of c at v = p: the minterms lowering would orphan.
-                slice_words.clear();
-                slice_words.extend_from_slice(c.words());
-                for (w, m) in slice_words.iter_mut().zip(space.mask(v)) {
-                    *w &= !m;
-                }
-                let b = space.bit(v, p) as usize;
-                slice_words[b / 64] |= 1u64 << (b % 64);
-                let sig = Sig::of(space, slice_words);
-                if cube_in_matrix(space, rest, slice_words, sig, s) {
-                    c.clear_part(space, v, p);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
 }
 
 /// Maximally reduces cube `i` of `f` against the *unchanged* rest of the
 /// cover plus `d`, without mutating `f` (the independent reduction used by
 /// LAST_GASP).
 pub fn reduce_cube_against(f: &Cover, d: &Cover, i: usize) -> Cube {
-    let space = f.space().clone();
-    with_scratch(|s| {
-        let mut rest = s.acquire(&space);
-        for (j, c) in f.iter().enumerate() {
-            if j != i {
-                rest.push_cube(&space, c);
+    with_scratch(|s| max_reduce(f, d, i, s))
+}
+
+/// The smallest cube containing `c ∖ (rest ∪ d)` for `c` = cube `i` of `f`
+/// and `rest` = the other cubes of `f`.
+fn max_reduce(f: &Cover, d: &Cover, i: usize, s: &mut Scratch) -> Cube {
+    let space = f.space();
+    let c = f.cubes()[i].words();
+    let mut cf = s.acquire(space);
+    for (j, r) in f.iter().enumerate() {
+        if j != i {
+            cf.push_cofactor(space, r.words(), c);
+        }
+    }
+    for r in d.iter() {
+        cf.push_cofactor(space, r.words(), c);
+    }
+    let mut comp = s.acquire(space);
+    comp_mat(space, &mut cf, &mut comp, s);
+    s.release(cf);
+
+    let mut acc = s.acquire_words();
+    acc.resize(space.words(), 0);
+    for k in 0..comp.len() {
+        let row = comp.row(k);
+        if space.rows_intersect(row, c) {
+            for ((a, r), w) in acc.iter_mut().zip(row).zip(c) {
+                *a |= r & w;
             }
         }
-        rest.extend_cubes(&space, d.iter());
+    }
+    s.release(comp);
 
-        let mut c = f.cubes()[i].clone();
-        let mut slice_words: Vec<u64> = Vec::with_capacity(space.words());
-        max_reduce(&space, &rest, &mut c, &mut slice_words, s);
-        s.release(rest);
-        c
-    })
+    let out = if acc.iter().any(|&w| w != 0) {
+        Cube::from_words(space, &acc)
+    } else {
+        // U is empty: keep each variable's highest admitted part.
+        let mut out = f.cubes()[i].clone();
+        for v in space.vars() {
+            if let Some(top) = (0..space.parts(v))
+                .rev()
+                .find(|&p| out.has_part(space, v, p))
+            {
+                out.clear_var(space, v);
+                out.set_part(space, v, top);
+            }
+        }
+        out
+    };
+    s.release_words(acc);
+    out
 }
 
 #[cfg(test)]
@@ -176,21 +163,57 @@ mod tests {
     #[test]
     fn reduce_matches_legacy() {
         use crate::legacy;
-        let sp = CubeSpace::binary_with_output(3, 2);
-        let cases: &[(&[&str], &[&str])] = &[
-            (&["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
+        use crate::minimize::minimize;
+        use crate::space::VarKind;
+        let bin = CubeSpace::binary_with_output(3, 2);
+        let mv = CubeSpace::new(
+            &[4, 3, 2, 3],
+            &[
+                VarKind::Multi,
+                VarKind::Multi,
+                VarKind::Binary,
+                VarKind::Output,
+            ],
+        );
+        let cases: &[(&CubeSpace, &[&str], &[&str])] = &[
+            (&bin, &["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
             (
+                &bin,
                 &["10 11 11 10", "11 10 11 10", "11 11 10 01"],
                 &["01 01 01 11"],
             ),
+            // The first cube lies inside D and the duplicated cube inside
+            // its twin: `c ∖ (rest ∪ D)` is empty for both.
+            (
+                &bin,
+                &["10 11 11 10", "11 10 11 01", "11 10 11 01"],
+                &["10 11 11 11"],
+            ),
+            (
+                &mv,
+                &["1110 110 11 110", "0111 011 11 100", "1111 010 10 011"],
+                &[],
+            ),
+            (
+                &mv,
+                &["1100 111 11 111", "0110 110 01 110", "0011 011 11 011"],
+                &["1000 100 11 111"],
+            ),
         ];
-        for (fs, ds) in cases {
-            let mut ours = cover(&sp, fs);
-            let mut theirs = ours.clone();
-            let d = cover(&sp, ds);
+        for (sp, fs, ds) in cases {
+            let f = cover(sp, fs);
+            let d = cover(sp, ds);
+            let mut ours = f.clone();
+            let mut theirs = f.clone();
             reduce(&mut ours, &d);
             legacy::reduce(&mut theirs, &d);
             assert_eq!(ours, theirs, "case {fs:?} / {ds:?}");
+            assert_eq!(minimize(&f, &d), legacy::minimize(&f, &d), "case {fs:?}");
         }
+        // With nothing left to cover, each variable keeps its highest part.
+        let f = cover(&bin, cases[2].1);
+        let d = cover(&bin, cases[2].2);
+        let c = reduce_cube_against(&f, &d, 0);
+        assert_eq!(c.display(&bin).to_string(), "10 01 01 10");
     }
 }

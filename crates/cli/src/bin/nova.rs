@@ -5,8 +5,8 @@
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
 //! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova --portfolio --batch [--timeout-ms N] [--budget N] [--jobs N] [--json] [--bench-out FILE]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]
+//! nova --portfolio --batch [--filter A,B] [--batch-jobs N] [--timeout-ms N] [--budget N] [--jobs N] [--json] [--bench-out FILE]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
@@ -18,7 +18,9 @@
 //!   -s             print machine statistics only
 //!   --json         emit the run report as JSON instead of text
 //!   --portfolio    race all algorithms concurrently, keep the best area
-//!   --batch        sweep the embedded benchmark suite (portfolio mode)
+//!   --batch        sweep the embedded benchmark suite (portfolio mode);
+//!                  the same sweep as `nova bench --filter`, printing each
+//!                  machine's portfolio as it completes
 //!   --timeout-ms   wall-clock deadline for the whole portfolio
 //!   --budget N     deterministic node budget per algorithm
 //!   --jobs N       algorithm workers racing in one portfolio (default:
@@ -31,6 +33,7 @@
 //!   --bench-out F  --batch: where to write the machine-readable bench
 //!                  report (default BENCH_portfolio.json)
 //!   --filter A,B   --batch: sweep only the named machines (comma-separated)
+//!   --batch-jobs N --batch: machines swept in parallel (as in `bench`)
 //!   --fault-plan S arm a deterministic nova-chaos fault plan on every run:
 //!                  "STAGE:NTH:KIND[,...]" (KIND: cancel|deadline|budget|
 //!                  panic; STAGE "*" = any) or "seed:N" for a derived plan
@@ -48,10 +51,9 @@
 //!                  default 1). Report content is identical at any count.
 //!   --stream F     write the sweep as nova-bench-stream/1 JSONL to F
 //!                  ("-" = stdout): one line per machine as it completes
-//!                  plus a throughput summary — constant memory, use this
-//!                  for large corpora
-//!   --scale-out F  write a small nova-bench-scale/1 throughput baseline
-//!                  (machines/sec) to F — what CI gates BENCH_SCALE.json on
+//!                  plus a summary (solved/degraded/unresolved, wall_ms,
+//!                  machines/sec) — constant memory, use this for large
+//!                  corpora
 //!   --journal F    append a crash-safe completion journal (nova-journal/1,
 //!                  fsync'd in batches) alongside --stream; implies the
 //!                  deterministic stream form (no wall-clock fields) so a
@@ -107,11 +109,16 @@ use espresso::FaultPlan;
 use fsm::minimize_states::minimize_states;
 use fsm::Fsm;
 use nova_core::driver::Algorithm;
-use nova_engine::{run_one, run_portfolio, EngineConfig};
+use nova_engine::{
+    journal, run_batch_resumable, run_one, run_portfolio, suite_to_json, throughput, BatchConfig,
+    EngineConfig, JournalReplay, JournalWriter, MachineClass, MachineSource, PortfolioReport,
+    QuarantineRecord, StreamWriter, SuiteSource,
+};
 use nova_trace::json::Json;
 use nova_trace::Tracer;
-use std::io::Read as _;
-use std::io::Write as _;
+use std::collections::{BTreeSet, VecDeque};
+use std::io::{BufWriter, Read as _, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -130,8 +137,9 @@ fn usage() -> ! {
     let algs: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
-         \u{20}      nova --portfolio [--batch [--filter A,B] [--bench-out FILE] [--batch-jobs N]] [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]\n\
+         \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
+         \u{20}      nova --portfolio --batch [--filter A,B] [--batch-jobs N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          ALG: {} (or onehot)",
@@ -408,197 +416,114 @@ fn read_machine(args: &Args) -> Result<Fsm, ExitCode> {
     Ok(machine)
 }
 
-/// `nova bench`: sweep a corpus (embedded suite or `--synthetic` scale
-/// spec) through the sharded batch engine, optionally streaming JSONL
-/// (`nova-bench-stream/1`) so memory stays constant at any corpus size.
-fn bench_main(argv: &[String]) -> ExitCode {
-    let mut synthetic: Option<fsm::ScaleSpec> = None;
-    let mut filter: Vec<String> = Vec::new();
-    let mut batch_jobs = 1usize;
-    let mut stream: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut scale_out: Option<String> = None;
-    let mut timeout_ms: Option<u64> = None;
-    let mut budget: Option<u64> = None;
-    let mut jobs = 0usize;
-    let mut fault_plan: Option<FaultPlan> = None;
-    let mut journal: Option<String> = None;
-    let mut resume = false;
-    let mut retries: Option<usize> = None;
-    let mut watchdog_ms: Option<u64> = None;
-    let mut it = argv.iter();
-    let num =
-        |v: Option<&String>| -> u64 { v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()) };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--synthetic" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                match fsm::ScaleSpec::parse(&spec) {
-                    Ok(s) => synthetic = Some(s),
-                    Err(e) => {
-                        eprintln!("nova: bad --synthetic {spec:?}: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
-            "--filter" => {
-                let list = it.next().cloned().unwrap_or_else(|| usage());
-                filter = list.split(',').map(str::to_string).collect();
-            }
-            "--batch-jobs" => batch_jobs = num(it.next()) as usize,
-            "--stream" => stream = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--journal" => journal = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--resume" => resume = true,
-            "--retries" => retries = Some(num(it.next()) as usize),
-            "--watchdog-ms" => watchdog_ms = Some(num(it.next())),
-            "--bench-out" => bench_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--scale-out" => scale_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--timeout-ms" => timeout_ms = Some(num(it.next())),
-            "--budget" => budget = Some(num(it.next())),
-            "--jobs" => jobs = num(it.next()) as usize,
-            "--fault-plan" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                match FaultPlan::parse(&spec) {
-                    Ok(plan) => fault_plan = Some(plan),
-                    Err(e) => {
-                        eprintln!("nova: bad --fault-plan {spec:?}: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
-            _ => usage(),
-        }
+/// The embedded suite restricted to `filter` (empty = every machine). An
+/// unknown name is an error, not a silent empty sweep.
+fn suite_source(filter: &[String]) -> Result<SuiteSource, ExitCode> {
+    if let Some(name) = filter
+        .iter()
+        .find(|n| fsm::benchmarks::by_name(n).is_none())
+    {
+        eprintln!("nova: unknown embedded benchmark '{name}'");
+        return Err(ExitCode::from(EXIT_UNKNOWN_BENCH));
     }
-    if synthetic.is_some() && !filter.is_empty() {
-        eprintln!("nova: --synthetic and --filter are mutually exclusive");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if let Some(jpath) = &journal {
-        // The journal is fsync'd and replayed on resume; stdout can be
-        // neither. And journal records interleaved into the stream file
-        // would corrupt both — fail fast instead of writing garbage.
-        if jpath == "-" || jpath == "/dev/stdout" {
-            eprintln!("nova: --journal cannot write to stdout; give it its own file");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        let Some(spath) = &stream else {
-            eprintln!("nova: --journal requires --stream (the journal records stream lines)");
-            return ExitCode::from(EXIT_USAGE);
-        };
-        let canon = |p: &str| {
-            if p == "-" {
-                "/dev/stdout".to_string()
-            } else {
-                std::fs::canonicalize(p)
-                    .map(|c| c.to_string_lossy().into_owned())
-                    .unwrap_or_else(|_| p.to_string())
-            }
-        };
-        if canon(jpath) == canon(spath) {
-            eprintln!(
-                "nova: --journal and --stream point at the same file; \
-                 interleaving them would corrupt both"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
-    if resume && journal.is_none() {
-        eprintln!("nova: --resume requires --journal FILE");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if resume && bench_out.is_some() {
-        eprintln!("nova: --resume cannot rebuild a full --bench-out document (replayed machines keep only their stream lines)");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    for name in &filter {
-        if fsm::benchmarks::by_name(name).is_none() {
-            eprintln!("nova: unknown embedded benchmark '{name}'");
-            return ExitCode::from(EXIT_UNKNOWN_BENCH);
-        }
-    }
-    let suite;
-    let src: &dyn nova_engine::MachineSource = match &synthetic {
-        Some(spec) => spec,
-        None => {
-            suite = nova_engine::SuiteSource::filtered(&filter);
-            &suite
-        }
-    };
+    Ok(SuiteSource::filtered(filter))
+}
 
-    // Every output file is created before the sweep starts: a 100k-machine
-    // run must not discover an unwritable path at the finish line, and a
-    // bad path must exit 4 (I/O), never panic.
-    let create = |path: &str| -> Result<std::fs::File, ExitCode> {
-        std::fs::File::create(path).map_err(|e| {
-            eprintln!("nova: cannot write {path}: {e}");
-            ExitCode::from(EXIT_IO)
-        })
-    };
-    let stream_writer: Option<Box<dyn std::io::Write + Send>> = match stream.as_deref() {
-        Some("-") => Some(Box::new(std::io::BufWriter::new(std::io::stdout()))),
-        Some(path) => match create(path) {
-            Ok(f) => Some(Box::new(std::io::BufWriter::new(f))),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-    let bench_out_file = match bench_out.as_deref().map(create) {
-        Some(Ok(f)) => Some(f),
-        Some(Err(code)) => return code,
-        None => None,
-    };
-    let scale_out_file = match scale_out.as_deref().map(create) {
-        Some(Ok(f)) => Some(f),
-        Some(Err(code)) => return code,
-        None => None,
-    };
+/// Prints the diagnostic for an output that cannot be written and returns
+/// the I/O exit code.
+fn cannot_write(what: &str, e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("nova: cannot write {what}: {e}");
+    ExitCode::from(EXIT_IO)
+}
 
-    let cfg = EngineConfig {
-        jobs,
-        timeout: timeout_ms.map(Duration::from_millis),
-        node_budget: budget,
-        fault_plan,
-        ..EngineConfig::default()
+/// One spelling per output file, for files that may not exist yet: the
+/// canonical parent directory joined with the file name (`-` is stdout).
+fn output_identity(path: &str) -> PathBuf {
+    if path == "-" {
+        return PathBuf::from("/dev/stdout");
+    }
+    let p = Path::new(path);
+    if let Ok(c) = std::fs::canonicalize(p) {
+        return c;
+    }
+    let dir = p.parent().filter(|d| !d.as_os_str().is_empty());
+    match (
+        std::fs::canonicalize(dir.unwrap_or(Path::new("."))),
+        p.file_name(),
+    ) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => p.to_path_buf(),
+    }
+}
+
+/// Where a sweep writes. `nova bench` may set any of these;
+/// `nova --portfolio --batch` sets only `bench_out`.
+#[derive(Default)]
+struct SweepOutputs {
+    /// `nova-bench-stream/1` JSONL (`-` = stdout).
+    stream: Option<String>,
+    /// Crash-safe `nova-journal/1` completion journal; implies the
+    /// deterministic stream form (no wall-clock fields).
+    journal: Option<String>,
+    /// Replay `journal` and run only the machines it lacks.
+    resume: bool,
+    /// The accumulated `nova-bench/1` document.
+    bench_out: Option<String>,
+}
+
+/// The corpus sweep behind `nova bench` and `nova --portfolio --batch`:
+/// runs every machine of `src` through the sharded batch engine, writes the
+/// requested outputs, hands each report to `on_report` in machine order and
+/// prints the throughput line to stderr. Every output file is created
+/// before the first machine runs: a 100k-machine run must not discover an
+/// unwritable path at the finish line, and a bad path must exit 4 (I/O),
+/// never panic.
+fn sweep(
+    src: &dyn MachineSource,
+    cfg: &EngineConfig,
+    bcfg: &BatchConfig,
+    out: &SweepOutputs,
+    on_report: &mut (dyn FnMut(&PortfolioReport) + Send),
+) -> Result<(), ExitCode> {
+    let create = |path: &str| std::fs::File::create(path).map_err(|e| cannot_write(path, e));
+    let stream: Box<dyn Write + Send> = match out.stream.as_deref() {
+        Some("-") => Box::new(BufWriter::new(std::io::stdout())),
+        Some(path) => Box::new(BufWriter::new(create(path)?)),
+        None => Box::new(std::io::sink()),
     };
-    let bcfg = nova_engine::BatchConfig {
-        batch_jobs,
-        retries: retries.unwrap_or(nova_engine::BatchConfig::default().retries),
-        watchdog: watchdog_ms.map(Duration::from_millis),
-        ..nova_engine::BatchConfig::default()
-    };
+    let bench_out_file = out.bench_out.as_deref().map(create).transpose()?;
 
     // The journal binds to (corpus, every option that can change a report
     // line): resuming under different options would merge streams that were
     // never byte-compatible.
     let canonical_opts = format!(
         "budget={:?} timeout_ms={:?} fault_plan={} retries={}",
-        budget,
-        timeout_ms,
+        cfg.node_budget,
+        cfg.timeout.map(|t| t.as_millis()),
         cfg.fault_plan
             .as_ref()
             .map(|p| p.to_spec())
             .unwrap_or_else(|| "-".into()),
         bcfg.retries
     );
-    let jkey = nova_engine::journal::journal_key(&src.describe(), &canonical_opts);
+    let jkey = journal::journal_key(&src.describe(), &canonical_opts);
 
     // Resume: load the journal, validate its identity against this
     // invocation, and split the corpus into replayed and still-to-run.
-    let mut pending_replay: std::collections::VecDeque<nova_engine::journal::ReplayedMachine> =
-        std::collections::VecDeque::new();
-    let mut replayed_quarantine: Vec<nova_engine::QuarantineRecord> = Vec::new();
-    let mut completed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    if resume {
-        let jpath = journal.as_deref().unwrap_or_default();
-        let replay = match nova_engine::JournalReplay::load(std::path::Path::new(jpath)) {
+    let mut pending_replay: VecDeque<journal::ReplayedMachine> = VecDeque::new();
+    let mut replayed_quarantine: Vec<QuarantineRecord> = Vec::new();
+    let mut completed: BTreeSet<usize> = BTreeSet::new();
+    if out.resume {
+        let jpath = out.journal.as_deref().unwrap_or_default();
+        let replay = match JournalReplay::load(Path::new(jpath)) {
             Ok(r) => r,
-            Err(nova_engine::journal::JournalError::Io(e)) => {
+            Err(journal::JournalError::Io(e)) => {
                 eprintln!("nova: cannot read journal {jpath}: {e}");
-                return ExitCode::from(EXIT_IO);
+                return Err(ExitCode::from(EXIT_IO));
             }
             Err(e) => {
                 eprintln!("nova: {e}");
-                return ExitCode::from(EXIT_USAGE);
+                return Err(ExitCode::from(EXIT_USAGE));
             }
         };
         if replay.corpus != src.describe() || replay.machines != src.len() {
@@ -610,14 +535,14 @@ fn bench_main(argv: &[String]) -> ExitCode {
                 src.describe(),
                 src.len()
             );
-            return ExitCode::from(EXIT_USAGE);
+            return Err(ExitCode::from(EXIT_USAGE));
         }
         if replay.key != jkey {
             eprintln!(
                 "nova: journal {jpath} was written under different encoding options; \
                  resuming would merge incompatible streams"
             );
-            return ExitCode::from(EXIT_USAGE);
+            return Err(ExitCode::from(EXIT_USAGE));
         }
         for m in replay.completed.values() {
             if fsm::fingerprint(&src.machine(m.index)) != m.machine_fp {
@@ -626,7 +551,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
                     m.index,
                     src.name(m.index)
                 );
-                return ExitCode::from(EXIT_USAGE);
+                return Err(ExitCode::from(EXIT_USAGE));
             }
         }
         if replay.dropped > 0 {
@@ -649,168 +574,87 @@ fn bench_main(argv: &[String]) -> ExitCode {
             src.len()
         );
     }
-    let mut jw = match (&journal, resume) {
-        (Some(p), true) => match nova_engine::JournalWriter::append(std::path::Path::new(p)) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("nova: cannot append to journal {p}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        },
-        (Some(p), false) => {
-            match nova_engine::JournalWriter::create(
-                std::path::Path::new(p),
-                jkey,
-                src.len(),
-                &src.describe(),
-            ) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("nova: cannot write journal {p}: {e}");
-                    return ExitCode::from(EXIT_IO);
-                }
-            }
-        }
-        (None, _) => None,
+    let mut jw = match &out.journal {
+        Some(p) if out.resume => Some(JournalWriter::append(Path::new(p)).map_err(|e| {
+            eprintln!("nova: cannot append to journal {p}: {e}");
+            ExitCode::from(EXIT_IO)
+        })?),
+        Some(p) => Some(
+            JournalWriter::create(Path::new(p), jkey, src.len(), &src.describe())
+                .map_err(|e| cannot_write(&format!("journal {p}"), e))?,
+        ),
+        None => None,
     };
 
     // Journaled streams drop every wall-clock field so an interrupted and
     // resumed sweep merges byte-identically with an uninterrupted one.
-    let deterministic = journal.is_some();
-    let mut sw = match stream_writer
-        .map(|w| {
-            if deterministic {
-                nova_engine::StreamWriter::deterministic(
-                    w,
-                    &src.describe(),
-                    src.len(),
-                    bcfg.effective_jobs(),
-                )
-            } else {
-                nova_engine::StreamWriter::new(w, &src.describe(), src.len(), bcfg.effective_jobs())
-            }
-        })
-        .transpose()
-    {
-        Ok(sw) => sw,
-        Err(e) => {
-            eprintln!("nova: cannot write stream: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    };
-    // Reports are only accumulated when the caller asked for the in-memory
-    // nova-bench/1 document; a streamed sweep stays O(window).
-    let mut kept: Vec<nova_engine::PortfolioReport> = Vec::new();
+    let timings = out.journal.is_none();
+    let mut sw = StreamWriter::new(
+        stream,
+        &src.describe(),
+        src.len(),
+        bcfg.effective_jobs(),
+        timings,
+    )
+    .map_err(|e| cannot_write("stream", e))?;
+    // Reports are only accumulated for the in-memory nova-bench/1 document;
+    // a streamed sweep stays O(window).
+    let mut kept: Vec<PortfolioReport> = Vec::new();
     let keep = bench_out_file.is_some();
-    let mut tally = nova_engine::StreamTally::default();
     let mut stream_err: Option<std::io::Error> = None;
     let mut journal_err: Option<std::io::Error> = None;
     let started = std::time::Instant::now();
-    let bump = |tally: &mut nova_engine::StreamTally, class: nova_engine::MachineClass| match class
-    {
-        nova_engine::MachineClass::Solved => tally.solved += 1,
-        nova_engine::MachineClass::Degraded => tally.degraded += 1,
-        nova_engine::MachineClass::Unresolved => tally.unresolved += 1,
-    };
-    let report =
-        nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i, rep, q| {
-            // Interleave replayed lines: everything the journal completed below
-            // this fresh index goes out first, keeping machine-index order.
-            while pending_replay.front().is_some_and(|m| m.index < i) {
-                let m = pending_replay.pop_front().expect("front checked");
-                bump(&mut tally, m.class);
-                if let Some(w) = &mut sw {
-                    if let Err(e) = w.write_raw(&m.line, m.class) {
-                        stream_err.get_or_insert(e);
-                    }
-                }
-            }
-            let class = nova_engine::MachineClass::of(&rep);
-            bump(&mut tally, class);
-            if deterministic {
-                // Journal first, then stream: a kill between the two replays
-                // the machine as complete and rewrites the same line.
-                let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
-                if let Some(j) = &mut jw {
-                    let fp = fsm::fingerprint(&src.machine(i));
-                    if let Err(e) = j.record(i, &fp, class, &line, q) {
-                        journal_err.get_or_insert(e);
-                    }
-                }
-                if let Some(w) = &mut sw {
-                    if let Err(e) = w.write_raw(&line, class) {
-                        stream_err.get_or_insert(e);
-                    }
-                }
-            } else if let Some(w) = &mut sw {
-                if let Err(e) = w.report(&rep) {
-                    stream_err.get_or_insert(e);
-                }
-            }
-            if keep {
-                kept.push(rep);
-            }
-        });
-    // Replayed machines above the last fresh index.
-    while let Some(m) = pending_replay.pop_front() {
-        bump(&mut tally, m.class);
-        if let Some(w) = &mut sw {
-            if let Err(e) = w.write_raw(&m.line, m.class) {
+    let report = run_batch_resumable(src, cfg, bcfg, &completed, &mut |i, rep, q| {
+        // Interleave replayed lines: everything the journal completed below
+        // this fresh index goes out first, keeping machine-index order.
+        while pending_replay.front().is_some_and(|m| m.index < i) {
+            let m = pending_replay.pop_front().expect("front checked");
+            if let Err(e) = sw.write_raw(&m.line, m.class) {
                 stream_err.get_or_insert(e);
             }
         }
+        // Journal first, then stream: a kill between the two replays the
+        // machine as complete and rewrites the same line.
+        let class = MachineClass::of(&rep);
+        let line = StreamWriter::<std::io::Sink>::render_line(&rep, timings);
+        if let Some(j) = &mut jw {
+            let fp = fsm::fingerprint(&src.machine(i));
+            if let Err(e) = j.record(i, &fp, class, &line, q) {
+                journal_err.get_or_insert(e);
+            }
+        }
+        if let Err(e) = sw.write_raw(&line, class) {
+            stream_err.get_or_insert(e);
+        }
+        on_report(&rep);
+        if keep {
+            kept.push(rep);
+        }
+    });
+    // Replayed machines above the last fresh index.
+    while let Some(m) = pending_replay.pop_front() {
+        if let Err(e) = sw.write_raw(&m.line, m.class) {
+            stream_err.get_or_insert(e);
+        }
     }
     let wall = started.elapsed();
-    let per_sec = nova_engine::throughput(src.len(), wall);
     let mut quarantine = replayed_quarantine;
     quarantine.extend(report.quarantined.iter().cloned());
     quarantine.sort_by_key(|q| q.index);
-    if let Some(w) = sw {
-        if let Some(e) = w.finish_with(&quarantine).err().or(stream_err) {
-            eprintln!("nova: cannot write stream: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    }
+    let tally = match (sw.finish(&quarantine), stream_err) {
+        (Ok((tally, _)), None) => tally,
+        (Err(e), _) | (Ok(_), Some(e)) => return Err(cannot_write("stream", e)),
+    };
     if let Some(j) = jw {
         if let Some(e) = j.finish().err().or(journal_err) {
-            eprintln!(
-                "nova: cannot write journal {}: {e}",
-                journal.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
+            let path = out.journal.as_deref().unwrap_or("?");
+            return Err(cannot_write(&format!("journal {path}"), e));
         }
     }
     if let Some(mut f) = bench_out_file {
-        let doc = nova_engine::suite_to_json_timed(&kept, wall);
+        let doc = suite_to_json(&kept, wall);
         if let Err(e) = f.write_all(doc.to_pretty().as_bytes()) {
-            eprintln!(
-                "nova: cannot write {}: {e}",
-                bench_out.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
-        }
-    }
-    if let Some(mut f) = scale_out_file {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("nova-bench-scale/1")),
-            ("corpus".into(), Json::str(src.describe())),
-            (
-                "batch_jobs".into(),
-                Json::uint(bcfg.effective_jobs() as u64),
-            ),
-            ("machines".into(), Json::uint(src.len() as u64)),
-            ("solved".into(), Json::uint(tally.solved as u64)),
-            ("degraded".into(), Json::uint(tally.degraded as u64)),
-            ("unresolved".into(), Json::uint(tally.unresolved as u64)),
-            ("wall_ms".into(), Json::Float(wall.as_secs_f64() * 1e3)),
-            ("machines_per_sec".into(), Json::Float(per_sec)),
-        ]);
-        if let Err(e) = f.write_all(format!("{}\n", doc.to_pretty()).as_bytes()) {
-            eprintln!(
-                "nova: cannot write {}: {e}",
-                scale_out.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
+            return Err(cannot_write(out.bench_out.as_deref().unwrap_or("?"), e));
         }
     }
     // The human-facing throughput line goes to stderr so `--stream -` keeps
@@ -819,7 +663,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
         "nova: swept {} machines in {:.1} ms ({:.1} machines/sec): {} solved, {} degraded, {} unresolved",
         src.len(),
         wall.as_secs_f64() * 1e3,
-        per_sec,
+        throughput(src.len(), wall),
         tally.solved,
         tally.degraded,
         tally.unresolved
@@ -834,7 +678,97 @@ fn bench_main(argv: &[String]) -> ExitCode {
             report.retries
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// `nova bench`: sweep a corpus (embedded suite or `--synthetic` scale
+/// spec) through the sharded batch engine, optionally streaming JSONL
+/// (`nova-bench-stream/1`) so memory stays constant at any corpus size.
+fn bench_main(argv: &[String]) -> ExitCode {
+    let mut synthetic: Option<fsm::ScaleSpec> = None;
+    let mut filter: Vec<String> = Vec::new();
+    let mut out = SweepOutputs::default();
+    let mut cfg = EngineConfig::default();
+    let mut bcfg = BatchConfig::default();
+    let mut it = argv.iter();
+    let num =
+        |v: Option<&String>| -> u64 { v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()) };
+    let arg = |v: Option<&String>| -> String { v.cloned().unwrap_or_else(|| usage()) };
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--synthetic" => {
+                let spec = arg(it.next());
+                match fsm::ScaleSpec::parse(&spec) {
+                    Ok(s) => synthetic = Some(s),
+                    Err(e) => {
+                        eprintln!("nova: bad --synthetic {spec:?}: {e}");
+                        return ExitCode::from(EXIT_USAGE);
+                    }
+                }
+            }
+            "--filter" => filter = arg(it.next()).split(',').map(str::to_string).collect(),
+            "--batch-jobs" => bcfg.batch_jobs = num(it.next()) as usize,
+            "--stream" => out.stream = Some(arg(it.next())),
+            "--journal" => out.journal = Some(arg(it.next())),
+            "--resume" => out.resume = true,
+            "--retries" => bcfg.retries = num(it.next()) as usize,
+            "--watchdog-ms" => bcfg.watchdog = Some(Duration::from_millis(num(it.next()))),
+            "--bench-out" => out.bench_out = Some(arg(it.next())),
+            "--timeout-ms" => cfg.timeout = Some(Duration::from_millis(num(it.next()))),
+            "--budget" => cfg.node_budget = Some(num(it.next())),
+            "--jobs" => cfg.jobs = num(it.next()) as usize,
+            "--fault-plan" => {
+                let spec = arg(it.next());
+                match FaultPlan::parse(&spec) {
+                    Ok(plan) => cfg.fault_plan = Some(plan),
+                    Err(e) => {
+                        eprintln!("nova: bad --fault-plan {spec:?}: {e}");
+                        return ExitCode::from(EXIT_USAGE);
+                    }
+                }
+            }
+            _ => usage(),
+        }
+    }
+    if synthetic.is_some() && !filter.is_empty() {
+        eprintln!("nova: --synthetic and --filter are mutually exclusive");
+        return ExitCode::from(EXIT_USAGE);
+    }
+    if let Some(jpath) = &out.journal {
+        // The journal is fsync'd and replayed on resume; stdout can be
+        // neither. And journal records interleaved into the stream file
+        // would corrupt both — fail fast instead of writing garbage.
+        if jpath == "-" || jpath == "/dev/stdout" {
+            eprintln!("nova: --journal cannot write to stdout; give it its own file");
+            return ExitCode::from(EXIT_USAGE);
+        }
+        let Some(spath) = &out.stream else {
+            eprintln!("nova: --journal requires --stream (the journal records stream lines)");
+            return ExitCode::from(EXIT_USAGE);
+        };
+        if output_identity(jpath) == output_identity(spath) {
+            eprintln!(
+                "nova: --journal and --stream point at the same file; \
+                 interleaving them would corrupt both"
+            );
+            return ExitCode::from(EXIT_USAGE);
+        }
+    }
+    if out.resume && out.journal.is_none() {
+        eprintln!("nova: --resume requires --journal FILE");
+        return ExitCode::from(EXIT_USAGE);
+    }
+    if out.resume && out.bench_out.is_some() {
+        eprintln!("nova: --resume cannot rebuild a full --bench-out document (replayed machines keep only their stream lines)");
+        return ExitCode::from(EXIT_USAGE);
+    }
+    let result = match &synthetic {
+        Some(spec) => sweep(spec, &cfg, &bcfg, &out, &mut |_| {}),
+        None => {
+            suite_source(&filter).and_then(|suite| sweep(&suite, &cfg, &bcfg, &out, &mut |_| {}))
+        }
+    };
+    result.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// `nova serve`: run the resident encoding service until SIGTERM/ctrl-c,
@@ -1044,43 +978,47 @@ fn main() -> ExitCode {
         return remote_main(&addr, &machine, &args);
     }
 
-    // Batch mode: sweep the embedded benchmark suite, no input machine.
+    // Batch mode: `nova bench`'s sweep over the embedded suite, writing
+    // BENCH_portfolio.json unless --bench-out names another file.
     if args.batch {
         if !args.portfolio {
             eprintln!("nova: --batch requires --portfolio");
             return ExitCode::from(EXIT_USAGE);
         }
-        for name in &args.filter {
-            if fsm::benchmarks::by_name(name).is_none() {
-                eprintln!("nova: unknown embedded benchmark '{name}'");
-                return ExitCode::from(EXIT_UNKNOWN_BENCH);
-            }
-        }
-        let cfg = engine_config(&args, &tracer);
-        let bcfg = nova_engine::BatchConfig {
-            batch_jobs: args.batch_jobs,
-            ..nova_engine::BatchConfig::default()
+        let suite = match suite_source(&args.filter) {
+            Ok(s) => s,
+            Err(code) => return code,
         };
-        let started = std::time::Instant::now();
-        let reports = nova_engine::run_suite_batched(&cfg, &args.filter, &bcfg);
-        let elapsed = started.elapsed();
-        if args.json {
-            let arr = Json::Arr(reports.iter().map(|r| r.to_json()).collect());
-            println!("{}", arr.to_pretty());
-        } else {
-            for report in &reports {
-                print_portfolio_text(report);
-            }
-        }
         let bench_path = args.bench_out.as_deref().unwrap_or("BENCH_portfolio.json");
-        if let Err(e) = std::fs::write(
-            bench_path,
-            nova_engine::suite_to_json_timed(&reports, elapsed).to_pretty(),
-        ) {
-            eprintln!("nova: cannot write {bench_path}: {e}");
-            return ExitCode::from(EXIT_IO);
+        let out = SweepOutputs {
+            bench_out: Some(bench_path.to_string()),
+            ..SweepOutputs::default()
+        };
+        let bcfg = BatchConfig {
+            batch_jobs: args.batch_jobs,
+            ..BatchConfig::default()
+        };
+        let json = args.json;
+        let mut docs = Vec::new();
+        let swept = sweep(
+            &suite,
+            &engine_config(&args, &tracer),
+            &bcfg,
+            &out,
+            &mut |rep| {
+                if json {
+                    docs.push(rep.to_json());
+                } else {
+                    print_portfolio_text(rep);
+                }
+            },
+        );
+        if let Err(code) = swept {
+            return code;
         }
-        if !args.json {
+        if args.json {
+            println!("{}", Json::Arr(docs).to_pretty());
+        } else {
             println!("# bench report written to {bench_path}");
         }
         if !write_trace(&args, &tracer) {

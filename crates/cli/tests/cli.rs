@@ -199,6 +199,16 @@ fn nova_rejects_the_removed_inner_worker_flags() {
         );
         assert_eq!(code, 2, "{flag} is a usage error");
     }
+    // No separate throughput document: the stream summary carries
+    // machines/sec.
+    let path = temp_path("removed-scale.json");
+    let (_, _, code) = run_with_code(
+        env!("CARGO_BIN_EXE_nova"),
+        &["bench", "--scale-out", path.to_str().unwrap()],
+        "",
+    );
+    assert_eq!(code, 2, "--scale-out is a usage error");
+    assert!(!path.exists(), "a rejected command line writes nothing");
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -288,6 +298,23 @@ fn nova_bench_flag_loads_embedded_machine() {
     assert!(stderr.contains("unknown embedded benchmark"), "{stderr}");
 }
 
+/// Drops every wall-clock field from a `nova-bench/1` document, leaving
+/// what two sweeps of the same corpus and budget must agree on.
+fn strip_timings(doc: &mut json::Json) {
+    match doc {
+        json::Json::Obj(pairs) => {
+            pairs.retain(|(k, _)| {
+                !matches!(k.as_str(), "wall_ms" | "stages_ms" | "machines_per_sec")
+            });
+            for (_, v) in pairs {
+                strip_timings(v);
+            }
+        }
+        json::Json::Arr(items) => items.iter_mut().for_each(strip_timings),
+        _ => {}
+    }
+}
+
 #[test]
 fn nova_batch_writes_bench_report() {
     let path = temp_path("bench.json");
@@ -312,12 +339,34 @@ fn nova_batch_writes_bench_report() {
     assert!(stdout.contains("bench report written"), "{stdout}");
     let text = std::fs::read_to_string(&path).expect("bench report written");
     std::fs::remove_file(&path).ok();
-    let doc = json::parse(&text).expect("bench report parses");
+    let mut doc = json::parse(&text).expect("bench report parses");
     assert_eq!(doc.get("schema"), Some(&json::Json::str("nova-bench/1")));
     let Some(json::Json::Arr(machines)) = doc.get("machines") else {
         panic!("machines missing");
     };
     assert_eq!(machines.len(), 2, "--filter restricts the sweep");
+    // `nova bench` runs the same sweep: same document, timings aside.
+    let bench_path = temp_path("bench-sub.json");
+    let (_, stderr, ok) = run_with_stdin(
+        env!("CARGO_BIN_EXE_nova"),
+        &[
+            "bench",
+            "--filter",
+            "shiftreg,lion",
+            "--budget",
+            "2000",
+            "--bench-out",
+            bench_path.to_str().unwrap(),
+        ],
+        "",
+    );
+    assert!(ok, "{stderr}");
+    let bench_text = std::fs::read_to_string(&bench_path).expect("bench report written");
+    std::fs::remove_file(&bench_path).ok();
+    let mut bench_doc = json::parse(&bench_text).expect("bench report parses");
+    strip_timings(&mut doc);
+    strip_timings(&mut bench_doc);
+    assert_eq!(doc, bench_doc, "--portfolio --batch and bench disagree");
     // An unknown name in --filter is an error, not a silent empty sweep.
     let (_, stderr, ok) = run_with_stdin(
         env!("CARGO_BIN_EXE_nova"),
@@ -800,9 +849,16 @@ fn nova_bench_synthetic_streams_jsonl_and_replays_across_batch_jobs() {
             other => panic!("no fingerprint in {line}: {other:?}"),
         }
     };
+    assert_eq!(header.get("batch_jobs"), Some(&json::Json::uint(1)));
     let summary = json::parse(&seq[5]).expect("summary parses");
     let s = summary.get("summary").expect("summary object");
     assert_eq!(s.get("machines"), Some(&json::Json::uint(4)));
+    let count = |key: &str| match s.get(key) {
+        Some(json::Json::Int(n)) => *n as u64,
+        other => panic!("summary {key}: {other:?}"),
+    };
+    assert_eq!(count("solved") + count("degraded") + count("unresolved"), 4);
+    assert!(s.get("wall_ms").is_some());
     assert!(s.get("machines_per_sec").is_some());
     // The same sweep at --batch-jobs 3 replays to the same fingerprints.
     let par = stream_for("3", "par");
@@ -815,7 +871,7 @@ fn nova_bench_synthetic_streams_jsonl_and_replays_across_batch_jobs() {
 fn nova_bench_unwritable_output_fails_fast_with_io_exit() {
     // The output files are opened before the sweep: a bad path must exit 4
     // immediately (no machines run), never panic at the finish line.
-    for flag in ["--bench-out", "--stream", "--scale-out"] {
+    for flag in ["--bench-out", "--stream"] {
         let (_, stderr, code) = run_with_code(
             env!("CARGO_BIN_EXE_nova"),
             &[
@@ -862,39 +918,6 @@ fn nova_bench_rejects_bad_spec_and_conflicting_corpora() {
     );
     assert_eq!(code, 5, "{stderr}");
     assert!(stderr.contains("unknown embedded benchmark"), "{stderr}");
-}
-
-#[test]
-fn nova_bench_scale_out_writes_throughput_baseline() {
-    let path = temp_path("scale.json");
-    let path_s = path.to_str().unwrap();
-    let (_, stderr, ok) = run_with_stdin(
-        env!("CARGO_BIN_EXE_nova"),
-        &[
-            "bench",
-            "--synthetic",
-            "machines=3,states=5,inputs=2,outputs=2,seed=3",
-            "--budget",
-            "5000",
-            "--batch-jobs",
-            "2",
-            "--scale-out",
-            path_s,
-        ],
-        "",
-    );
-    assert!(ok, "{stderr}");
-    let text = std::fs::read_to_string(&path).expect("scale baseline written");
-    std::fs::remove_file(&path).ok();
-    let doc = json::parse(&text).expect("scale baseline parses");
-    assert_eq!(
-        doc.get("schema"),
-        Some(&json::Json::str("nova-bench-scale/1"))
-    );
-    assert_eq!(doc.get("machines"), Some(&json::Json::uint(3)));
-    assert_eq!(doc.get("batch_jobs"), Some(&json::Json::uint(2)));
-    assert!(doc.get("machines_per_sec").is_some());
-    assert!(doc.get("corpus").is_some());
 }
 
 #[test]
@@ -1062,6 +1085,32 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     std::fs::remove_file(&shared).ok();
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("same file"), "{stderr}");
+
+    // Two spellings of one file that does not exist yet: the guard must
+    // still see them as the same file, and refuse before writing anything.
+    let dir = temp_path("journal-fresh-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nova"))
+        .args([
+            "bench",
+            "--synthetic",
+            "machines=3,states=5,inputs=2,outputs=2,seed=3",
+            "--budget",
+            "5000",
+            "--stream",
+            "./same.jsonl",
+            "--journal",
+            "same.jsonl",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("same file"), "{stderr}");
+    assert_eq!(written, 0, "a rejected sweep writes nothing");
 
     // --journal is meaningless without a stream to record.
     let journal_only = temp_path("journal-only.journal");

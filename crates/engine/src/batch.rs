@@ -51,7 +51,7 @@
 //! `.watchdog.quarantine` counters and the `engine.batch.queue.depth` gauge
 //! on the session tracer.
 
-use crate::{machine_summary_json_with, report_fingerprint, EngineConfig, PortfolioReport};
+use crate::{machine_summary_json, report_fingerprint, EngineConfig, PortfolioReport};
 use fsm::{Fsm, ScaleSpec};
 use nova_trace::json::Json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -100,11 +100,6 @@ pub struct SuiteSource {
 }
 
 impl SuiteSource {
-    /// The whole embedded suite.
-    pub fn new() -> Self {
-        Self::filtered(&[])
-    }
-
     /// The suite restricted to `names`; an empty slice keeps every machine.
     /// Unknown names are silently skipped — callers that care (the CLI)
     /// validate against [`fsm::benchmarks::by_name`] up front.
@@ -115,12 +110,6 @@ impl SuiteSource {
                 .filter(|b| names.is_empty() || names.iter().any(|n| n == b.name))
                 .collect(),
         }
-    }
-}
-
-impl Default for SuiteSource {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -702,25 +691,13 @@ pub struct StreamWriter<W: Write> {
 }
 
 impl<W: Write> StreamWriter<W> {
-    /// Writes the header line and starts the throughput clock.
-    pub fn new(w: W, corpus: &str, machines: usize, batch_jobs: usize) -> io::Result<Self> {
-        StreamWriter::with_timings(w, corpus, machines, batch_jobs, true)
-    }
-
-    /// [`StreamWriter::new`] in deterministic mode: wall-clock fields
-    /// (`wall_ms`, `stages_ms`, `machines_per_sec`) are omitted from every
-    /// line. Journaled sweeps use this so interrupted-and-resumed output is
-    /// byte-identical to an uninterrupted run.
-    pub fn deterministic(
-        w: W,
-        corpus: &str,
-        machines: usize,
-        batch_jobs: usize,
-    ) -> io::Result<Self> {
-        StreamWriter::with_timings(w, corpus, machines, batch_jobs, false)
-    }
-
-    fn with_timings(
+    /// Writes the header line and starts the throughput clock. With
+    /// `timings: false` (deterministic mode) the wall-clock fields
+    /// (`wall_ms`, `stages_ms`, `machines_per_sec`) and the header's
+    /// `batch_jobs` are omitted from every line; journaled sweeps use this so
+    /// interrupted-and-resumed output is byte-identical to an uninterrupted
+    /// run.
+    pub fn new(
         mut w: W,
         corpus: &str,
         machines: usize,
@@ -753,7 +730,7 @@ impl<W: Write> StreamWriter<W> {
     /// machine object plus its timing-stripped fingerprint. Exposed so the
     /// journaling CLI can persist the exact bytes it streams.
     pub fn render_line(rep: &PortfolioReport, timings: bool) -> String {
-        let mut line = machine_summary_json_with(rep, timings);
+        let mut line = machine_summary_json(rep, timings);
         if let Json::Obj(pairs) = &mut line {
             pairs.push((
                 "fingerprint".into(),
@@ -781,19 +758,12 @@ impl<W: Write> StreamWriter<W> {
         writeln!(self.w, "{line}")
     }
 
-    /// Writes the summary line and returns `(tally, machines/sec)`.
-    pub fn finish(self) -> io::Result<(StreamTally, f64)> {
-        self.finish_with(&[])
-    }
-
-    /// [`StreamWriter::finish`] with the sweep's quarantine list folded
-    /// into the summary: `quarantined` is always present, and a non-empty
-    /// list adds a `quarantine` array (index / machine / attempts /
-    /// reason). In deterministic mode the wall-clock fields are omitted.
-    pub fn finish_with(
-        mut self,
-        quarantine: &[QuarantineRecord],
-    ) -> io::Result<(StreamTally, f64)> {
+    /// Writes the summary line, with the sweep's quarantine list folded in,
+    /// and returns `(tally, machines/sec)`. `quarantined` is always present,
+    /// and a non-empty list adds a `quarantine` array (index / machine /
+    /// attempts / reason). In deterministic mode the wall-clock fields are
+    /// omitted.
+    pub fn finish(mut self, quarantine: &[QuarantineRecord]) -> io::Result<(StreamTally, f64)> {
         let wall = self.start.elapsed();
         let per_sec = throughput(self.count, wall);
         let mut pairs = vec![
@@ -851,7 +821,7 @@ mod tests {
 
     #[test]
     fn suite_source_filters_and_names() {
-        let all = SuiteSource::new();
+        let all = SuiteSource::filtered(&[]);
         assert!(all.len() > 30, "embedded suite should be Table I sized");
         let some = SuiteSource::filtered(&["lion".into(), "bbtas".into()]);
         assert_eq!(some.len(), 2);

@@ -520,37 +520,6 @@ fn run_contained(
     }
 }
 
-/// Runs the portfolio over every machine in the embedded benchmark suite
-/// (the `nova --portfolio --batch` sweep). With one batch worker (the
-/// default here) the parallelism lives inside each portfolio, keeping
-/// per-machine reports directly comparable to single-machine runs.
-pub fn run_suite(cfg: &EngineConfig) -> Vec<PortfolioReport> {
-    run_suite_filtered(cfg, &[])
-}
-
-/// [`run_suite`] restricted to the named machines; an empty `names` slice
-/// sweeps the whole suite. Unknown names are silently skipped — callers that
-/// care (the CLI) validate against [`fsm::benchmarks::by_name`] up front.
-pub fn run_suite_filtered(cfg: &EngineConfig, names: &[String]) -> Vec<PortfolioReport> {
-    run_suite_batched(cfg, names, &BatchConfig::default())
-}
-
-/// [`run_suite_filtered`] over the sharded batch engine: machines are swept
-/// by `bcfg.batch_jobs` work-stealing workers and the reports accumulate in
-/// machine order. Report content is identical at any worker count; use
-/// [`run_batch`] with a [`StreamWriter`] sink instead when the corpus is too
-/// large to accumulate.
-pub fn run_suite_batched(
-    cfg: &EngineConfig,
-    names: &[String],
-    bcfg: &BatchConfig,
-) -> Vec<PortfolioReport> {
-    let src = SuiteSource::filtered(names);
-    let mut out = Vec::with_capacity(src.len());
-    run_batch(&src, cfg, bcfg, &mut |_, rep| out.push(rep));
-    out
-}
-
 fn stages_to_json(stages: &StageTimes) -> Json {
     Json::Obj(vec![
         (
@@ -566,16 +535,11 @@ fn stages_to_json(stages: &StageTimes) -> Json {
 /// The per-machine object of the `nova-bench/1` report (and of each
 /// `nova-bench-stream/1` line): the winning algorithm with its
 /// area/cubes/bits, and per algorithm the outcome, area and stage wall
-/// times.
-pub fn machine_summary_json(rep: &PortfolioReport) -> Json {
-    machine_summary_json_with(rep, true)
-}
-
-/// [`machine_summary_json`] with the wall-clock fields (`wall_ms`,
-/// `stages_ms`) optional: `timings: false` emits only the deterministic
-/// fields, so two sweeps of the same corpus — interrupted, resumed, or run
-/// end to end — produce byte-identical lines. Journaled streams use this.
-pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
+/// times. `timings: false` drops the wall-clock fields (`wall_ms`,
+/// `stages_ms`), so two sweeps of the same corpus — interrupted, resumed,
+/// or run end to end — produce byte-identical lines. Journaled streams use
+/// this.
+pub fn machine_summary_json(rep: &PortfolioReport, timings: bool) -> Json {
     let mut pairs = vec![("machine".into(), Json::str(&rep.machine))];
     match rep.best() {
         Some((i, best)) => {
@@ -631,19 +595,14 @@ pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
 
 /// Machine-readable benchmark trajectory of a suite sweep (the
 /// `BENCH_portfolio.json` the `--batch` CLI writes): one
-/// [`machine_summary_json`] entry per machine plus a throughput summary —
-/// enough to diff both area and machines/sec between PRs. The summary's
-/// wall time is the sum of per-machine portfolio walls (the sequential
-/// equivalent); use [`suite_to_json_timed`] to record a measured elapsed
-/// wall instead (shorter under `--batch-jobs N`).
-pub fn suite_to_json(reports: &[PortfolioReport]) -> Json {
-    suite_to_json_timed(reports, reports.iter().map(|r| r.wall).sum())
-}
-
-/// [`suite_to_json`] with an explicitly measured total wall time for the
-/// throughput summary.
-pub fn suite_to_json_timed(reports: &[PortfolioReport], wall: Duration) -> Json {
-    let machines = reports.iter().map(machine_summary_json).collect();
+/// [`machine_summary_json`] entry per machine plus a throughput summary over
+/// the measured `wall` — enough to diff both area and machines/sec between
+/// PRs.
+pub fn suite_to_json(reports: &[PortfolioReport], wall: Duration) -> Json {
+    let machines = reports
+        .iter()
+        .map(|r| machine_summary_json(r, true))
+        .collect();
     let summary = Json::Obj(vec![
         ("machines".into(), Json::uint(reports.len() as u64)),
         ("wall_ms".into(), Json::Float(millis(wall))),
@@ -867,7 +826,7 @@ mod tests {
             run_portfolio(&machine("lion"), "lion", &cfg),
             run_portfolio(&machine("bbtas"), "bbtas", &cfg),
         ];
-        let j = suite_to_json(&reports);
+        let j = suite_to_json(&reports, Duration::from_millis(5));
         let text = j.to_compact();
         let parsed = json::parse(&text).expect("suite json parses");
         assert_eq!(parsed.get("schema"), Some(&Json::str("nova-bench/1")));

@@ -115,8 +115,8 @@ fn stream_writer_emits_well_formed_nova_bench_stream() {
     let src = corpus();
     let mut buf = Vec::new();
     {
-        let mut w =
-            StreamWriter::new(&mut buf, &src.spec_string(), src.machines, 3).expect("header write");
+        let mut w = StreamWriter::new(&mut buf, &src.spec_string(), src.machines, 3, true)
+            .expect("header write");
         let mut sink_err = false;
         run_batch(
             &src,
@@ -132,7 +132,7 @@ fn stream_writer_emits_well_formed_nova_bench_stream() {
             },
         );
         assert!(!sink_err);
-        let (tally, per_sec) = w.finish().expect("summary write");
+        let (tally, per_sec) = w.finish(&[]).expect("summary write");
         assert_eq!(
             tally.solved + tally.degraded + tally.unresolved,
             src.machines
@@ -172,7 +172,7 @@ fn stream_fingerprints_match_across_worker_counts() {
     let src = corpus();
     let stream = |jobs: usize| -> Vec<String> {
         let mut buf = Vec::new();
-        let mut w = StreamWriter::new(&mut buf, "c", src.machines, jobs).unwrap();
+        let mut w = StreamWriter::new(&mut buf, "c", src.machines, jobs, true).unwrap();
         run_batch(
             &src,
             &config(),
@@ -182,7 +182,7 @@ fn stream_fingerprints_match_across_worker_counts() {
             },
             &mut |_, rep| w.report(&rep).unwrap(),
         );
-        w.finish().unwrap();
+        w.finish(&[]).unwrap();
         String::from_utf8(buf)
             .unwrap()
             .lines()
@@ -396,7 +396,7 @@ fn deterministic_stream_mode_is_free_of_wall_clock_fields() {
     let src = corpus();
     let stream = |jobs: usize| -> String {
         let mut buf = Vec::new();
-        let mut w = StreamWriter::deterministic(&mut buf, "c", src.machines, jobs).unwrap();
+        let mut w = StreamWriter::new(&mut buf, "c", src.machines, jobs, false).unwrap();
         run_batch(
             &src,
             &config(),
@@ -406,7 +406,7 @@ fn deterministic_stream_mode_is_free_of_wall_clock_fields() {
             },
             &mut |_, rep| w.report(&rep).unwrap(),
         );
-        w.finish().unwrap();
+        w.finish(&[]).unwrap();
         String::from_utf8(buf).unwrap()
     };
     let a = stream(1);

@@ -66,11 +66,6 @@ pub struct ServerConfig {
     /// Admission bound: connections waiting beyond the ones being served.
     /// A full queue answers `503` with `Retry-After`.
     pub queue_depth: usize,
-    /// Session tracer: `serve.*` counters land here (and per-run engine
-    /// telemetry via forks). Defaults to disabled, which costs one atomic
-    /// load per counter — the `/counters` endpoint is fed by the always-on
-    /// plain atomics below, so a disabled tracer loses nothing.
-    pub tracer: Tracer,
     /// Seed for request-id minting (SplitMix64 over the admission ordinal).
     /// The default is fixed, so a test that restarts a server sees the same
     /// id sequence.
@@ -97,7 +92,6 @@ impl Default for ServerConfig {
             workers: 0,
             cache: CacheConfig::default(),
             queue_depth: 64,
-            tracer: Tracer::disabled(),
             seed: 0x6e6f_7661_2d37_0001, // "nova-7" — any fixed value works
             trace_dir: None,
             breaker: BreakerConfig::default(),
@@ -116,8 +110,8 @@ impl ServerConfig {
     }
 }
 
-/// Always-on service counters (the `/counters` endpoint and the smoke
-/// tests read these; the tracer carries the same names when enabled).
+/// Always-on service counters (the `/counters` and `/metrics` endpoints and
+/// the smoke tests read these).
 #[derive(Debug, Default)]
 struct ServeStats {
     requests: AtomicU64,
@@ -161,16 +155,15 @@ impl Queue {
     }
 
     /// Admits a connection, or returns it back when the queue is full.
-    fn push(&self, adm: Admitted) -> Result<usize, Admitted> {
+    fn push(&self, adm: Admitted) -> Result<(), Admitted> {
         let mut q = lock(&self.inner);
         if q.len() >= self.depth {
             return Err(adm);
         }
         q.push_back(adm);
-        let depth = q.len();
         drop(q);
         self.ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Pops the next connection; `None` once the queue is closing *and*
@@ -214,8 +207,7 @@ struct Shared {
     /// Admission ordinal feeding the request-id mint.
     admissions: AtomicU64,
     /// Always-enabled metrics-only tracer behind `/metrics`: the latency
-    /// histograms land here regardless of the session tracer (which stays
-    /// disabled by default). No spans are ever recorded on it, so its cost
+    /// histograms land here. No spans are ever recorded on it, so its cost
     /// is one short mutex lock per observation.
     expo: Tracer,
     /// Circuit breaker gating engine runs (not cache hits).
@@ -346,50 +338,40 @@ fn mint_request_id(seed: u64, n: u64) -> u64 {
 }
 
 fn admit(stream: TcpStream, shared: &Shared) {
-    let tracer = &shared.cfg.tracer;
     let n = shared.admissions.fetch_add(1, Ordering::Relaxed);
     let adm = Admitted {
         stream,
         id: mint_request_id(shared.cfg.seed, n),
         at: Instant::now(),
     };
-    match shared.queue.push(adm) {
-        Ok(depth) => {
-            tracer.gauge("serve.queue.depth", depth as i64);
-        }
-        Err(adm) => {
-            // Overload: shed at the door with a hint to come back. The
-            // request is drained first (under a short timeout) so the
-            // close does not RST the client before it reads the 503.
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            tracer.incr("serve.reject", 1);
-            let mut stream = adm.stream;
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            if let Ok(reader) = stream.try_clone() {
-                let _ = Request::read_from(&mut BufReader::new(reader));
-            }
-            let body = Json::Obj(vec![
-                ("error".into(), Json::str("overloaded")),
-                (
-                    "queue_depth".into(),
-                    Json::uint(shared.cfg.queue_depth as u64),
-                ),
-            ]);
-            let _ = Response::json(503, body.to_pretty())
-                .with_header("Retry-After", "1")
-                .with_header("X-Nova-Request-Id", format_request_id(adm.id))
-                .write_to(&mut stream);
-        }
+    let Err(adm) = shared.queue.push(adm) else {
+        return;
+    };
+    // Overload: shed at the door with a hint to come back. The request is
+    // drained first (under a short timeout) so the close does not RST the
+    // client before it reads the 503.
+    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+    let mut stream = adm.stream;
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    if let Ok(reader) = stream.try_clone() {
+        let _ = Request::read_from(&mut BufReader::new(reader));
     }
+    let body = Json::Obj(vec![
+        ("error".into(), Json::str("overloaded")),
+        (
+            "queue_depth".into(),
+            Json::uint(shared.cfg.queue_depth as u64),
+        ),
+    ]);
+    let _ = Response::json(503, body.to_pretty())
+        .with_header("Retry-After", "1")
+        .with_header("X-Nova-Request-Id", format_request_id(adm.id))
+        .write_to(&mut stream);
 }
 
 fn worker_loop(shared: &Shared) {
     while let Some(adm) = shared.queue.pop() {
-        shared
-            .cfg
-            .tracer
-            .gauge("serve.queue.depth", shared.queue.len() as i64);
         shared
             .expo
             .observe("serve.queue.wait_us", adm.at.elapsed().as_micros() as u64);
@@ -519,8 +501,6 @@ impl Drop for InflightReservation<'_> {
 }
 
 fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
-    let tracer = &shared.cfg.tracer;
-
     // Memory-pressure tier: reserve this request's body bytes against the
     // global in-flight budget and shed *before* parsing when a burst of
     // large machines would otherwise force the cache LRU to thrash.
@@ -536,7 +516,6 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     };
     if budget > 0 && reserved > budget {
         shared.stats.shed_bytes.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.shed.bytes", 1);
         return error_response(503, "memory pressure: too many request bytes in flight")
             .with_header("Retry-After", "1");
     }
@@ -565,12 +544,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
             .expo
             .observe("serve.cache.lookup_us", lookup.elapsed().as_micros() as u64);
         if let Some(body) = hit {
-            tracer.incr("serve.cache.hit", 1);
             return Response::json(200, body.as_slice().to_vec())
                 .with_header("X-Nova-Cache", "hit")
                 .with_header("X-Nova-Fingerprint", fp);
         }
-        tracer.incr("serve.cache.miss", 1);
     }
 
     // Miss (or uncacheable): this request needs an engine run, so it goes
@@ -582,7 +559,6 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
                 .stats
                 .breaker_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            tracer.incr("serve.breaker.reject", 1);
             return error_response(503, "engine circuit breaker is open")
                 .with_header("Retry-After", retry_after_secs.to_string());
         }
@@ -590,17 +566,15 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     }
 
     // With a trace dir configured, the run gets its own request-scoped
-    // session tracer — every span in the emitted JSONL carries this
-    // request's id — otherwise it forks off the (usually disabled)
-    // session tracer as before.
+    // tracer — every span in the emitted JSONL carries this request's id —
+    // otherwise it runs untraced.
     shared.stats.engine_runs.fetch_add(1, Ordering::Relaxed);
-    tracer.incr("serve.engine.run", 1);
     let request_tracer = shared.cfg.trace_dir.as_ref().map(|_| {
         let t = Tracer::enabled();
         t.set_request_id(id);
         t
     });
-    let cfg = options.engine_config(request_tracer.as_ref().unwrap_or(tracer));
+    let cfg = options.engine_config(request_tracer.as_ref().unwrap_or(&Tracer::disabled()));
     let run_started = Instant::now();
     let report = run_portfolio(&machine, machine.name(), &cfg);
     shared.expo.observe(
@@ -618,7 +592,6 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         .any(|r| matches!(r.outcome, Outcome::Failed(_)));
     if failed {
         shared.stats.engine_failures.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.engine.failure", 1);
     }
     shared.breaker.record(!failed, Instant::now());
     let deterministic = report
@@ -631,9 +604,9 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         .any(|r| matches!(r.outcome, Outcome::Degraded(_)))
     {
         shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.degraded", 1);
     }
-    let body = Arc::new(suite_to_json(&[report]).to_pretty().into_bytes());
+    let wall = report.wall;
+    let body = Arc::new(suite_to_json(&[report], wall).to_pretty().into_bytes());
 
     // Only fully deterministic reports are admissible: a run that saw a
     // deadline, degradation, or failure is not a replayable artifact.
